@@ -1,16 +1,16 @@
-"""The million-rack slot: incremental frame delta + sharded clear.
+"""The million-rack slot: incremental frame delta + per-PDU clear.
 
-The ROADMAP's scaling target is one slot — re-aggregate what changed,
-clear, reconcile — inside a 1-minute market slot at 1M racks.  This
-bench pins that budget in ``results/BENCH_sharding.json`` with a
-per-phase breakdown, and separately pins the incremental builder's
-unchanged-slot speedup at the 15k-rack reference point (the frame
-rebuild the builder replaces costs ~32 ms there).
+The scaling target is one slot — re-encode what changed, clear,
+reconcile — inside a 1-minute market slot at 1M racks.  This bench pins
+that budget in ``results/BENCH_sharding.json`` with a per-phase
+breakdown, and separately pins the incremental builder's unchanged-slot
+speedup at the 15k-rack reference point (the frame rebuild the builder
+replaces costs ~32 ms there).
 
 Slot model: every tenant re-submits fresh bid objects (equal values —
 the builder must prove them unchanged), while ~1% of PDUs carry a
-genuinely changed bid and re-aggregate.  The clear then runs sharded
-through the same decomposition the engine uses.
+genuinely changed bid and re-encode.  The clear then runs through
+``MarketClearing.clear_per_pdu``, the path the engine uses.
 
 ``BENCH_SMOKE=1`` shrinks the fleet; assertions are identical except
 the 60 s budget, which only means something at full scale.
@@ -25,18 +25,16 @@ from repro.core.bids import RackBid
 from repro.core.clearing import MarketClearing
 from repro.core.demand import LinearBid
 from repro.core.frame import BidFrame
-from repro.core.sharding import IncrementalFrameBuilder, clear_per_pdu_sharded
+from repro.core.sharding import IncrementalFrameBuilder
 from repro.experiments.fig07_prediction_and_scaling import make_synthetic_bids
 from repro.telemetry import write_summary_json
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 SMOKE = os.environ.get("BENCH_SMOKE", "") not in ("", "0")
-JOBS = int(os.environ.get("BENCH_JOBS", "1"))
 
 RACKS = 20_000 if SMOKE else 1_000_000
 RACKS_PER_PDU = 250
-SHARDS = 16
 SLOT_BUDGET_S = 60.0
 
 #: The incremental builder's reference point: the 15k-rack frame build
@@ -92,9 +90,7 @@ def test_million_rack_slot(archive):
     assert 0 < dirty_pdus <= len(pdu_spot) // 50
 
     start = time.perf_counter()
-    result = clear_per_pdu_sharded(
-        engine, frame, pdu_spot, ups_spot, shards=SHARDS, jobs=JOBS
-    )
+    result = engine.clear_per_pdu(frame, pdu_spot, ups_spot)
     clear_s = time.perf_counter() - start
     slot_s = frame_delta_s + clear_s
     assert result.grants_w and result.price > 0.0
@@ -102,8 +98,6 @@ def test_million_rack_slot(archive):
     data = {
         "racks": RACKS,
         "pdus": len(pdu_spot),
-        "shards": SHARDS,
-        "jobs": JOBS,
         "initial_build_seconds": initial_build_s,
         "frame_delta_seconds": frame_delta_s,
         "dirty_pdus": dirty_pdus,

@@ -313,8 +313,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         scenario = dataclasses.replace(
             scenario, clearing_deadline_s=args.clearing_deadline
         )
-    if args.shards is not None:
-        scenario = dataclasses.replace(scenario, shards=args.shards)
     scenario = _apply_prediction_args(scenario, args)
     scenario = _apply_event_args(scenario, args)
     fault_profile = None
@@ -327,18 +325,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 fault_profile, crash_at_slot=args.crash_at
             )
 
-    allocator = None
-    if args.profile:
-        # Profiling reads wall-clock durations off in-memory telemetry
-        # spans; shard spans are opted in so the shard split shows up.
-        from repro.config import MarketParameters
-        from repro.core.market import SpotDCAllocator
-
-        allocator = SpotDCAllocator(
-            params=MarketParameters(slot_seconds=scenario.slot_seconds),
-            shards=scenario.shards,
-            shard_spans=True,
-        )
     config = None
     previous = None
     if args.telemetry or args.profile:
@@ -350,7 +336,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         result = run_simulation(
             scenario,
             slots=args.slots,
-            allocator=allocator,
             fault_profile=fault_profile,
             checkpoint_every=args.checkpoint_every,
             checkpoint_dir=args.checkpoint_dir,
@@ -398,7 +383,7 @@ def _print_profile(trace) -> None:
         return
     print()
     print(f"{'phase':<16}{'count':>7}{'total ms':>12}{'mean ms':>10}{'max ms':>10}")
-    for name in PHASES + ("clearing.shard", "slot"):
+    for name in PHASES + ("slot",):
         spans = trace.spans_named(name)
         if not spans:
             continue
@@ -423,8 +408,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.sim.scenario import testbed_scenario
 
     scenario = testbed_scenario(seed=args.seed)
-    if args.shards is not None:
-        scenario = dataclasses.replace(scenario, shards=args.shards)
     scenario = _apply_prediction_args(scenario, args)
     scenario = _apply_event_args(scenario, args)
     if args.fault_profile != "none" or args.crash_at is not None:
@@ -911,11 +894,6 @@ def build_parser() -> argparse.ArgumentParser:
         "that the reserve price tracks during price events",
     )
     simulate.add_argument(
-        "--shards", type=int, default=None, metavar="N",
-        help="partition per-PDU clearing into N contiguous shards "
-        "(byte-identical results at any N; see docs/sharding.md)",
-    )
-    simulate.add_argument(
         "--profile", action="store_true",
         help="print a per-phase wall-clock table (predict/bid_collect/"
         "clear/grant/enforce/settle) from the telemetry spans",
@@ -998,11 +976,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--wholesale-trace", default=None, metavar="FILE",
         help="wholesale price trace (JSON array or one price per line) "
         "that the reserve price tracks during price events",
-    )
-    serve.add_argument(
-        "--shards", type=int, default=None, metavar="N",
-        help="partition per-PDU clearing into N contiguous shards "
-        "(byte-identical results at any N; see docs/sharding.md)",
     )
     serve.add_argument(
         "--telemetry", action="store_true",

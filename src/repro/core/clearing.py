@@ -12,17 +12,14 @@ favour).
 
 Implementation notes:
 
-* The default pipeline is **columnar**: bids are viewed through a
-  :class:`~repro.core.frame.BidFrame` (built once per slot), demand is
-  evaluated as an ``(n_bids, n_prices)`` ndarray kernel
-  (:func:`repro.core.demand.demand_matrix`), per-PDU totals are
-  contiguous segment sums over the PDU-sorted rows, and grants are
-  extracted as one demand-vector evaluation at the clearing price.
-  Memory stays O(#bids x price-chunk); clearing cost stays in ndarray
-  time, which is what makes 15,000-rack scans fast (Fig. 7b).
-* The pre-frame object-at-a-time path is retained behind
-  ``columnar=False`` as the parity/benchmark reference (see
-  ``tests/test_bidframe_parity.py`` and ``BENCH_clearing.json``).
+* The pipeline is **columnar**: bids are viewed through a
+  :class:`~repro.core.frame.BidFrame` (built once per slot; a
+  ``RackBid`` sequence is encoded into one at entry), per-PDU demand
+  totals are a breakpoint sweep over the PDU-sorted rows, and grants
+  are extracted as one demand-vector evaluation at the clearing price.
+  Clearing cost stays in ndarray time, which is what makes
+  15,000-rack scans fast (Fig. 7b).  The parity oracle — a brute-force
+  transcription of Eqs. 1-4 — lives in ``tests/oracle.py``.
 * Grid resolution is the operator knob ``price_step`` (the paper reports
   clearing times at 0.1 and 1 cent/kW steps).  The scan optionally
   augments the grid with each bid's breakpoints (``q_min``/``q_max``) so
@@ -42,14 +39,13 @@ import numpy as np
 from repro.config import MarketParameters
 from repro.core.allocation import AllocationResult
 from repro.core.bids import RackBid
-from repro.core.demand import LinearBid
 from repro.core.frame import BidFrame
 from repro.errors import ClearingError
 
 if typing.TYPE_CHECKING:
     from repro.infrastructure.constraints import CapacityConstraint
 
-__all__ = ["MarketClearing", "clear_market"]
+__all__ = ["MarketClearing", "clear_market", "reconcile_allocation"]
 
 #: Feasibility slack for float comparisons against capacity bounds.
 _TOL = 1e-9
@@ -99,65 +95,39 @@ class MarketClearing:
             the candidate grid.  Improves profit at coarse steps for a
             small cost; disabled when reproducing the paper's pure
             fixed-step scan timings.
-        columnar: Clear through the :class:`BidFrame` columnar pipeline
-            (the default).  ``False`` selects the legacy object-at-a-time
-            path, kept as the parity and benchmark reference.
     """
 
     params: MarketParameters = dataclasses.field(default_factory=MarketParameters)
     include_breakpoints: bool = True
-    columnar: bool = True
 
     def candidate_prices(
         self, bids: "Sequence[RackBid] | BidFrame"
     ) -> np.ndarray:
         """The ascending price grid the scan will evaluate."""
+        frame = bids if isinstance(bids, BidFrame) else BidFrame.from_bids(bids)
         lo = self.params.reserve_price
         hi = self.params.max_price
         # No bid demands anything above the highest acceptable price, so
         # scanning beyond it only wastes work.
-        n_bids = len(bids)
-        if isinstance(bids, BidFrame):
-            if n_bids:
-                hi = min(hi, bids.max_acceptable_price())
-            # Frames are immutable once built, so a grid computed for
-            # one (bounds, step, breakpoints-mode) tuple stays valid for
-            # the frame's whole lifetime.  The incremental builder hands
-            # the engine the *same frame object* on unchanged-bid slots,
-            # turning the per-slot grid rebuild into a dict hit.
-            key = (lo, hi, self.params.price_step, self.include_breakpoints)
-            cache = bids._grid_cache
-            if cache is None:
-                cache = bids._grid_cache = {}
-            grid = cache.get(key)
-            if grid is None:
-                if hi < lo:
-                    grid = np.array([lo])
-                else:
-                    grid = _base_grid(lo, hi, self.params.price_step)
-                    if self.include_breakpoints and n_bids:
-                        grid = _augment_grid(
-                            grid, bids.breakpoints, lo, hi,
-                            self.params.price_step,
-                        )
-                cache[key] = grid
-            return grid
-        else:
-            if n_bids:
-                hi = min(hi, max(b.demand.max_price for b in bids))
-            collected = []
-            for bid in bids:
-                demand = bid.demand
-                for attr in ("q_min", "q_max", "price_cap"):
-                    value = getattr(demand, attr, None)
-                    if value is not None:
-                        collected.append(float(value))
-            points = np.asarray(collected, dtype=float)
-        if hi < lo:
-            return np.array([lo])
-        grid = _base_grid(lo, hi, self.params.price_step)
-        if self.include_breakpoints and n_bids:
-            grid = _augment_grid(grid, points, lo, hi, self.params.price_step)
+        if len(frame):
+            hi = min(hi, frame.max_acceptable_price())
+        # Frames are immutable once built, so a grid computed for one
+        # (bounds, step, breakpoints-mode) tuple stays valid for the
+        # frame's whole lifetime.  The incremental builder hands the
+        # engine the *same frame object* on unchanged-bid slots, turning
+        # the per-slot grid rebuild into a dict hit.
+        key = (lo, hi, self.params.price_step, self.include_breakpoints)
+        cache = frame._grid_cache
+        if cache is None:
+            cache = frame._grid_cache = {}
+        grid = cache.get(key)
+        if grid is None:
+            grid = _base_grid(lo, hi, self.params.price_step)
+            if self.include_breakpoints and len(frame):
+                grid = _augment_grid(
+                    grid, frame.breakpoints, lo, hi, self.params.price_step
+                )
+            cache[key] = grid
         return grid
 
     # ------------------------------------------------------------------
@@ -195,13 +165,9 @@ class MarketClearing:
         self._validate_capacities(pdu_spot_w, ups_spot_w, extra_constraints)
         if not len(bids):
             return AllocationResult.empty()
-        if isinstance(bids, BidFrame):
-            return self._clear_frame(bids, pdu_spot_w, ups_spot_w, extra_constraints)
-        if self.columnar:
-            return self._clear_frame(
-                BidFrame.from_bids(bids), pdu_spot_w, ups_spot_w, extra_constraints
-            )
-        return self._clear_objects(bids, pdu_spot_w, ups_spot_w, extra_constraints)
+        if not isinstance(bids, BidFrame):
+            bids = BidFrame.from_bids(bids)
+        return self._clear_frame(bids, pdu_spot_w, ups_spot_w, extra_constraints)
 
     @staticmethod
     def _validate_capacities(
@@ -219,8 +185,6 @@ class MarketClearing:
                 raise ClearingError(
                     f"negative capacity for constraint {constraint.name}"
                 )
-
-    # -- columnar path --------------------------------------------------
 
     def _clear_frame(
         self,
@@ -308,162 +272,6 @@ class MarketClearing:
             feasible_prices=n_feasible,
         )
 
-    # -- legacy object path ---------------------------------------------
-
-    def _clear_objects(
-        self,
-        bids: Sequence[RackBid],
-        pdu_spot_w: Mapping[str, float],
-        ups_spot_w: float,
-        extra_constraints: Sequence["CapacityConstraint"],
-    ) -> AllocationResult:
-        prices = self.candidate_prices(bids)
-        pdu_ids = sorted({bid.pdu_id for bid in bids})
-        pdu_index = {pdu_id: i for i, pdu_id in enumerate(pdu_ids)}
-        pdu_caps = np.array([pdu_spot_w.get(p, 0.0) for p in pdu_ids])
-
-        # Bid admission; the per-PDU grant ceilings min(PDU spot, UPS
-        # spot) are hoisted out of the per-bid loop.
-        pdu_ceiling = {
-            pdu_id: min(pdu_spot_w.get(pdu_id, 0.0), ups_spot_w)
-            for pdu_id in pdu_ids
-        }
-        admitted = []
-        rejected_ids = []
-        for bid in bids:
-            ceiling = min(bid.rack_cap_w, pdu_ceiling[bid.pdu_id])
-            for constraint in extra_constraints:
-                if bid.rack_id in constraint.rack_ids:
-                    ceiling = min(ceiling, constraint.cap_w)
-            floor_demand = min(
-                bid.demand.demand_at(bid.demand.max_price), bid.rack_cap_w
-            )
-            if floor_demand > ceiling + _TOL:
-                rejected_ids.append(bid.rack_id)
-            else:
-                admitted.append(bid)
-        if not admitted:
-            return AllocationResult(
-                price=float(prices[-1]) + self.params.price_step,
-                grants_w={rack_id: 0.0 for rack_id in rejected_ids},
-                revenue_rate=0.0,
-                candidate_prices=int(prices.size),
-                feasible_prices=0,
-            )
-
-        # Accumulate rack demand into per-PDU totals across the whole
-        # grid; extra constraint groups (phase/heat) accumulate alongside.
-        pdu_demand = np.zeros((len(pdu_ids), prices.size))
-        extra_demand = np.zeros((len(extra_constraints), prices.size))
-        extra_caps = np.array([c.cap_w for c in extra_constraints])
-        membership = [c.rack_ids for c in extra_constraints]
-
-        linear_bids = [
-            bid for bid in admitted if type(bid.demand) is LinearBid
-        ]
-        generic_bids = [
-            bid for bid in admitted if type(bid.demand) is not LinearBid
-        ]
-        if linear_bids:
-            self._accumulate_linear(
-                linear_bids, prices, pdu_index, membership,
-                pdu_demand, extra_demand,
-            )
-        for bid in generic_bids:
-            demand = np.minimum(bid.demand.demand_grid(prices), bid.rack_cap_w)
-            pdu_demand[pdu_index[bid.pdu_id]] += demand
-            for k, rack_ids in enumerate(membership):
-                if bid.rack_id in rack_ids:
-                    extra_demand[k] += demand
-        total_demand = pdu_demand.sum(axis=0)
-
-        feasible = (total_demand <= ups_spot_w + _TOL) & np.all(
-            pdu_demand <= pdu_caps[:, None] + _TOL, axis=0
-        )
-        if extra_constraints:
-            feasible &= np.all(
-                extra_demand <= extra_caps[:, None] + _TOL, axis=0
-            )
-        n_feasible = int(feasible.sum())
-        if n_feasible == 0:
-            return AllocationResult.empty(
-                price=float(prices[-1]) + self.params.price_step
-            )
-
-        revenue_rate = prices * total_demand / 1000.0  # $/h
-        revenue_rate = np.where(feasible, revenue_rate, -np.inf)
-        best = int(np.argmax(revenue_rate))  # argmax returns lowest index on ties
-        best_price = float(prices[best])
-
-        grants = {
-            bid.rack_id: float(
-                min(bid.demand.demand_at(best_price), bid.rack_cap_w)
-            )
-            for bid in admitted
-        }
-        for rack_id in rejected_ids:
-            grants[rack_id] = 0.0
-        return AllocationResult(
-            price=best_price,
-            grants_w=grants,
-            revenue_rate=float(max(revenue_rate[best], 0.0)),
-            candidate_prices=int(prices.size),
-            feasible_prices=n_feasible,
-        )
-
-    @staticmethod
-    def _accumulate_linear(
-        bids: Sequence[RackBid],
-        prices: np.ndarray,
-        pdu_index: Mapping[str, int],
-        membership: Sequence[frozenset[str]],
-        pdu_demand: np.ndarray,
-        extra_demand: np.ndarray,
-        chunk: int = 2048,
-    ) -> None:
-        """Vectorised demand accumulation for LinearBid bids (object path).
-
-        Evaluates all bids' piece-wise linear curves over the whole price
-        grid with one broadcasted expression per chunk (memory is bounded
-        at ``chunk x len(prices)`` floats) and scatter-adds the rows into
-        the per-PDU / per-constraint totals.
-        """
-        d_max = np.array([b.demand.d_max_w for b in bids])
-        d_min = np.array([b.demand.d_min_w for b in bids])
-        q_min = np.array([b.demand.q_min for b in bids])
-        q_max = np.array([b.demand.q_max for b in bids])
-        caps = np.array([b.rack_cap_w for b in bids])
-        rows = np.array([pdu_index[b.pdu_id] for b in bids])
-        span = q_max - q_min
-        degenerate = span <= 0
-
-        member_rows: list[np.ndarray] = [
-            np.array(
-                [i for i, b in enumerate(bids) if b.rack_id in rack_ids],
-                dtype=int,
-            )
-            for rack_ids in membership
-        ]
-
-        for start in range(0, len(bids), chunk):
-            sl = slice(start, start + chunk)
-            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-                frac = np.clip(
-                    (prices[None, :] - q_min[sl, None])
-                    / np.where(degenerate[sl], 1.0, span[sl])[:, None],
-                    0.0,
-                    1.0,
-                )
-            demand = d_max[sl, None] + frac * (d_min[sl] - d_max[sl])[:, None]
-            demand = np.where(degenerate[sl, None], d_max[sl, None], demand)
-            demand = np.where(prices[None, :] <= q_max[sl, None], demand, 0.0)
-            np.minimum(demand, caps[sl, None], out=demand)
-            np.add.at(pdu_demand, rows[sl], demand)
-            for k, rows_k in enumerate(member_rows):
-                local = rows_k[(rows_k >= start) & (rows_k < start + chunk)]
-                if local.size:
-                    extra_demand[k] += demand[local - start].sum(axis=0)
-
     # ------------------------------------------------------------------
     # Locational (per-PDU) pricing
     # ------------------------------------------------------------------
@@ -492,8 +300,9 @@ class MarketClearing:
         apportioned caps never exceeds ``P_o`` (Eq. 4 holds by
         construction).
 
-        On the columnar path each PDU's market is a contiguous *frame
-        slice*; no per-slot object regrouping happens.
+        Each PDU's market is a contiguous *frame slice*; no per-slot
+        object regrouping happens.  The combined allocation passes the
+        shrink-only :func:`reconcile_allocation` guard on the way out.
 
         Returns:
             A combined allocation whose ``pdu_prices`` carries each
@@ -504,15 +313,9 @@ class MarketClearing:
             raise ClearingError(f"negative UPS spot capacity {ups_spot_w}")
         if not len(bids):
             return AllocationResult.empty()
-        if isinstance(bids, BidFrame):
-            return self._clear_per_pdu_frame(
-                bids, pdu_spot_w, ups_spot_w, extra_constraints
-            )
-        if self.columnar:
-            return self._clear_per_pdu_frame(
-                BidFrame.from_bids(bids), pdu_spot_w, ups_spot_w, extra_constraints
-            )
-        return self._clear_per_pdu_objects(
+        if not isinstance(bids, BidFrame):
+            bids = BidFrame.from_bids(bids)
+        return self._clear_per_pdu_frame(
             bids, pdu_spot_w, ups_spot_w, extra_constraints
         )
 
@@ -530,7 +333,7 @@ class MarketClearing:
         :func:`_localize_constraints`.  Apportioning by servable
         interest guarantees the caps sum to at most ``ups_spot_w``
         whenever total interest exceeds it (Eq. 4 by construction) —
-        the property the sharded path's reconciliation pass relies on.
+        why :func:`reconcile_allocation` is a no-op on this path.
         """
         servable = np.minimum(frame.max_demand_w, frame.rack_cap_w)
         max_demand = (
@@ -558,65 +361,32 @@ class MarketClearing:
             caps.append(local_cap)
         return caps, max_demand
 
-    def _pdu_tasks(
+    def _clear_per_pdu_frame(
         self,
         frame: BidFrame,
         pdu_spot_w: Mapping[str, float],
         ups_spot_w: float,
         extra_constraints: Sequence["CapacityConstraint"],
-    ) -> list[tuple[str, BidFrame, float, tuple]]:
-        """The per-PDU clearing work list: ``(pdu_id, slice, cap, cons)``.
-
-        Each task is self-contained — clearing it touches nothing
-        outside its own slice — which is what makes the list a valid
-        unit of distribution for :mod:`repro.core.sharding`.
-        """
+    ) -> AllocationResult:
         caps, max_demand = self._apportion_pdu_caps(
             frame, pdu_spot_w, ups_spot_w, extra_constraints
         )
-        tasks: list[tuple[str, BidFrame, float, tuple]] = []
-        for (pdu_id, sub), local_cap in zip(frame.pdu_slices(), caps):
-            local_constraints = (
-                tuple(
-                    _localize_constraints(
-                        extra_constraints,
-                        set(sub.rack_ids),
-                        max_demand,
-                    )
-                )
-                if extra_constraints
-                else ()
-            )
-            tasks.append((pdu_id, sub, local_cap, local_constraints))
-        return tasks
-
-    def _clear_pdu_slice(
-        self, task: tuple[str, BidFrame, float, tuple]
-    ) -> AllocationResult:
-        """Clear one PDU task from :meth:`_pdu_tasks`."""
-        pdu_id, sub, local_cap, local_constraints = task
-        return self._clear_frame(
-            sub, {pdu_id: local_cap}, local_cap, local_constraints
-        )
-
-    def _combine_pdu_results(
-        self,
-        frame: BidFrame,
-        per_pdu: Sequence[tuple[str, AllocationResult]],
-    ) -> AllocationResult:
-        """Merge per-PDU allocations into the combined slot result.
-
-        Accumulation runs sequentially in the order given — callers pass
-        results in :meth:`BidFrame.pdu_slices` order regardless of where
-        each PDU was cleared, so serial and sharded paths sum the same
-        floats in the same order (byte-identical results).
-        """
         grants: dict[str, float] = {}
         pdu_prices: dict[str, float] = {}
         revenue_rate = 0.0
         candidates = 0
         feasible = 0
-        for pdu_id, local in per_pdu:
+        for (pdu_id, sub), local_cap in zip(frame.pdu_slices(), caps):
+            local_constraints = (
+                _localize_constraints(
+                    extra_constraints, set(sub.rack_ids), max_demand
+                )
+                if extra_constraints
+                else ()
+            )
+            local = self._clear_frame(
+                sub, {pdu_id: local_cap}, local_cap, local_constraints
+            )
             grants.update(local.grants_w)
             pdu_prices[pdu_id] = local.price
             revenue_rate += local.revenue_rate
@@ -638,7 +408,7 @@ class MarketClearing:
             headline = float((row_prices * granted).sum()) / total
         else:
             headline = 0.0
-        return AllocationResult(
+        combined = AllocationResult(
             price=headline,
             grants_w=grants,
             revenue_rate=revenue_rate,
@@ -646,98 +416,7 @@ class MarketClearing:
             feasible_prices=feasible,
             pdu_prices=pdu_prices,
         )
-
-    def _clear_per_pdu_frame(
-        self,
-        frame: BidFrame,
-        pdu_spot_w: Mapping[str, float],
-        ups_spot_w: float,
-        extra_constraints: Sequence["CapacityConstraint"],
-    ) -> AllocationResult:
-        tasks = self._pdu_tasks(
-            frame, pdu_spot_w, ups_spot_w, extra_constraints
-        )
-        per_pdu = [
-            (task[0], self._clear_pdu_slice(task)) for task in tasks
-        ]
-        return self._combine_pdu_results(frame, per_pdu)
-
-    def _clear_per_pdu_objects(
-        self,
-        bids: Sequence[RackBid],
-        pdu_spot_w: Mapping[str, float],
-        ups_spot_w: float,
-        extra_constraints: Sequence["CapacityConstraint"],
-    ) -> AllocationResult:
-        by_pdu: dict[str, list[RackBid]] = {}
-        for bid in bids:
-            by_pdu.setdefault(bid.pdu_id, []).append(bid)
-        max_demand = (
-            {
-                bid.rack_id: min(bid.demand.max_demand_w, bid.rack_cap_w)
-                for bid in bids
-            }
-            if extra_constraints
-            else {}
-        )
-
-        interest = {
-            pdu_id: min(
-                pdu_spot_w.get(pdu_id, 0.0),
-                sum(
-                    min(b.demand.max_demand_w, b.rack_cap_w)
-                    for b in pdu_bids
-                ),
-            )
-            for pdu_id, pdu_bids in by_pdu.items()
-        }
-        total_interest = sum(interest.values())
-        grants: dict[str, float] = {}
-        pdu_prices: dict[str, float] = {}
-        revenue_rate = 0.0
-        candidates = 0
-        feasible = 0
-        for pdu_id, pdu_bids in by_pdu.items():
-            local_cap = pdu_spot_w.get(pdu_id, 0.0)
-            if total_interest > ups_spot_w and total_interest > 0:
-                local_cap = min(
-                    local_cap, ups_spot_w * interest[pdu_id] / total_interest
-                )
-            local_constraints = (
-                _localize_constraints(
-                    extra_constraints,
-                    {bid.rack_id for bid in pdu_bids},
-                    max_demand,
-                )
-                if extra_constraints
-                else ()
-            )
-            local = self._clear_objects(
-                pdu_bids, {pdu_id: local_cap}, local_cap, local_constraints
-            )
-            grants.update(local.grants_w)
-            pdu_prices[pdu_id] = local.price
-            revenue_rate += local.revenue_rate
-            candidates += local.candidate_prices
-            feasible += local.feasible_prices
-        total = sum(grants.values())
-        headline = (
-            sum(
-                pdu_prices[bid.pdu_id] * grants.get(bid.rack_id, 0.0)
-                for bid in bids
-            )
-            / total
-            if total > 0
-            else 0.0
-        )
-        return AllocationResult(
-            price=headline,
-            grants_w=grants,
-            revenue_rate=revenue_rate,
-            candidate_prices=candidates,
-            feasible_prices=feasible,
-            pdu_prices=pdu_prices,
-        )
+        return reconcile_allocation(combined, frame, pdu_spot_w, ups_spot_w)
 
 
 def _localize_constraints(
@@ -750,9 +429,7 @@ def _localize_constraints(
     Phase-balance constraints live within a single PDU, so they localize
     exactly.  A heat zone spanning several PDUs is apportioned by local
     maximum-demand share — a conservative decomposition (the per-PDU
-    shares always sum to at most the zone cap).  Both clearing paths
-    call this with the same rack → servable-demand mapping, so the
-    apportioned caps are bit-identical.
+    shares always sum to at most the zone cap).
     """
     from repro.infrastructure.constraints import CapacityConstraint
 
@@ -777,6 +454,78 @@ def _localize_constraints(
             )
         )
     return localized
+
+
+def reconcile_allocation(
+    result: AllocationResult,
+    frame: BidFrame,
+    pdu_spot_w: Mapping[str, float],
+    ups_spot_w: float,
+    tolerance_w: float = 1e-6,
+) -> AllocationResult:
+    """Shrink-only fix-up of a merged allocation against Eqs. 3-4.
+
+    Closes every per-PDU clear.  When the allocation already satisfies
+    every PDU cap and the UPS cap — which the apportioning guarantees
+    (proof sketch in ``docs/sharding.md``) — the *same* result object
+    is returned, floats untouched.  On a genuine violation (a future
+    non-conservative apportioning, an external result), grants scale
+    down per over-cap PDU and then globally against the UPS headroom; revenue
+    and the grant-weighted headline price are recomputed from the
+    surviving grants.  Grants only ever shrink, so rack caps (Eq. 2)
+    stay satisfied and the clamps enforce Eqs. 3-4 directly.
+    """
+    granted = np.fromiter(
+        (result.grants_w.get(rid, 0.0) for rid in frame.rack_ids),
+        dtype=float,
+        count=len(frame),
+    )
+    starts, seg_codes = frame.segments()
+    totals = np.add.reduceat(granted, starts)
+    caps = np.fromiter(
+        (pdu_spot_w.get(frame.pdu_ids[int(s)], 0.0) for s in seg_codes),
+        dtype=float,
+        count=len(starts),
+    )
+    total = float(granted.sum())
+    over_pdu = totals > caps + tolerance_w
+    if not over_pdu.any() and total <= ups_spot_w + tolerance_w:
+        return result
+
+    scale = np.ones(len(starts))
+    np.divide(caps, totals, out=scale, where=over_pdu)
+    lengths = np.diff(np.concatenate([starts, [len(frame)]]))
+    granted = granted * np.repeat(scale, lengths)
+    total = float(granted.sum())
+    if total > ups_spot_w + tolerance_w and total > 0:
+        granted *= ups_spot_w / total
+        total = float(granted.sum())
+
+    grants = dict(zip(frame.rack_ids, granted.tolist()))
+    # Preserve explicit zero entries for racks the clear priced out.
+    for rid, g in result.grants_w.items():
+        if rid not in grants:
+            grants[rid] = g
+    pdu_totals = np.add.reduceat(granted, starts) if len(frame) else totals
+    revenue = 0.0
+    row_prices = np.fromiter(
+        (result.pdu_prices.get(p, result.price) for p in frame.pdu_ids),
+        dtype=float,
+        count=len(frame.pdu_ids),
+    )
+    for seg, sub_total in zip(seg_codes, pdu_totals):
+        revenue += float(row_prices[int(seg)]) * float(sub_total) / 1000.0
+    headline = (
+        float((row_prices[frame.pdu_code] * granted).sum()) / total
+        if total > 0
+        else 0.0
+    )
+    return dataclasses.replace(
+        result,
+        price=headline,
+        grants_w=grants,
+        revenue_rate=revenue,
+    )
 
 
 def clear_market(

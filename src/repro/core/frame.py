@@ -40,7 +40,7 @@ from repro.core.demand import (
     demand_matrix,
 )
 
-__all__ = ["BidFrame"]
+__all__ = ["BidFrame", "PduBlock", "group_by_pdu"]
 
 
 def _validate_columns(d_max, q_min, d_min, q_max, caps) -> None:
@@ -81,6 +81,132 @@ def _validate_columns(d_max, q_min, d_min, q_max, caps) -> None:
 #: sampled rows go through their demand object's ``demand_grid``.
 KIND_CLOSED = 0
 KIND_SAMPLED = 1
+
+
+def group_by_pdu(bids: Iterable[RackBid]) -> dict[str, list[RackBid]]:
+    """Bids grouped by PDU id, submission order kept within each PDU."""
+    groups: dict[str, list[RackBid]] = {}
+    for b in bids:
+        groups.setdefault(b.pdu_id, []).append(b)
+    return groups
+
+
+class PduBlock:
+    """One PDU's bids encoded as frame columns — the only row encoder.
+
+    :meth:`BidFrame.from_bids` and the incremental builder
+    (:mod:`repro.core.sharding`) both encode rows here and concatenate
+    blocks with :meth:`BidFrame.from_blocks`.  The tenant table is
+    *local* (first appearance within this PDU's rows).
+    """
+
+    __slots__ = (
+        "pdu_id",
+        "bids",
+        "rack_ids",
+        "tenant_table",
+        "tenant_code_local",
+        "kind",
+        "d_max_w",
+        "q_min",
+        "d_min_w",
+        "q_max",
+        "rack_cap_w",
+        "max_demand_w",
+        "floor_w",
+        "breakpoints",
+        "demands",
+    )
+
+    def __init__(self, pdu_id: str, bids: tuple[RackBid, ...]) -> None:
+        n = len(bids)
+        tenant_index: dict[str, int] = {}
+        tenant_code = np.fromiter(
+            (
+                tenant_index.setdefault(b.tenant_id, len(tenant_index))
+                for b in bids
+            ),
+            dtype=np.intp,
+            count=n,
+        )
+        kind = np.empty(n, dtype=np.uint8)
+        d_max = np.empty(n)
+        q_min = np.empty(n)
+        d_min = np.empty(n)
+        q_max = np.empty(n)
+        caps = np.empty(n)
+        max_demand = np.empty(n)
+        floor = np.empty(n)
+        demands: list[DemandFunction | None] = []
+        points: list[float] = []
+        for i, b in enumerate(bids):
+            fn = b.demand
+            caps[i] = b.rack_cap_w
+            # The type checks are deliberately exact: subclasses may
+            # override demand_at/demand_grid, so they must be sampled.
+            if type(fn) is LinearBid:
+                kind[i] = KIND_CLOSED
+                d_max[i] = fn.d_max_w
+                q_min[i] = fn.q_min
+                d_min[i] = fn.d_min_w
+                q_max[i] = fn.q_max
+                max_demand[i] = fn.d_max_w
+                demands.append(None)
+            elif type(fn) is StepBid:
+                kind[i] = KIND_CLOSED
+                d_max[i] = fn.demand_w
+                d_min[i] = fn.demand_w
+                q_min[i] = fn.price_cap
+                q_max[i] = fn.price_cap
+                max_demand[i] = fn.demand_w
+                demands.append(None)
+            else:
+                kind[i] = KIND_SAMPLED
+                d_max[i] = 0.0
+                d_min[i] = 0.0
+                q_min[i] = 0.0
+                q_max[i] = fn.max_price
+                max_demand[i] = fn.max_demand_w
+                demands.append(fn)
+            # Grid augmentation points: the curve's public breakpoint
+            # attributes only.
+            for attr in ("q_min", "q_max", "price_cap"):
+                value = getattr(fn, attr, None)
+                if value is not None:
+                    points.append(float(value))
+        # Rack-clipped demand at each row's own max acceptable price,
+        # with the same float arithmetic as demand_at(max_price).
+        for i, b in enumerate(bids):
+            if kind[i] == KIND_CLOSED:
+                at_cap = (
+                    d_max[i]
+                    if q_max[i] <= q_min[i]
+                    else d_max[i] + (d_min[i] - d_max[i])
+                )
+            else:
+                at_cap = b.demand.demand_at(b.demand.max_price)
+            floor[i] = min(at_cap, caps[i])
+        self.pdu_id = pdu_id
+        self.bids = bids
+        self.rack_ids = tuple(b.rack_id for b in bids)
+        self.tenant_table = tuple(tenant_index)
+        self.tenant_code_local = tenant_code
+        self.kind = kind
+        self.d_max_w = d_max
+        self.q_min = q_min
+        self.d_min_w = d_min
+        self.q_max = q_max
+        self.rack_cap_w = caps
+        self.max_demand_w = max_demand
+        self.floor_w = floor
+        self.breakpoints = np.asarray(points, dtype=float)
+        self.demands = tuple(demands)
+
+    def __len__(self) -> int:
+        return len(self.rack_ids)
+
+    def __repr__(self) -> str:
+        return f"PduBlock(pdu={self.pdu_id!r}, bids={len(self)})"
 
 
 class BidFrame:
@@ -181,100 +307,14 @@ class BidFrame:
     def from_bids(cls, bids: Sequence[RackBid]) -> "BidFrame":
         """Build the columnar frame from object bids (the slot adapter).
 
-        Called once per slot; every downstream stage (admission, demand
-        evaluation, clearing, billing) then reads columns instead of
-        objects.
+        Bids are grouped by PDU (submission order kept within each PDU),
+        encoded one :class:`PduBlock` per PDU, and assembled through
+        :meth:`from_blocks` — the same route the incremental builder
+        takes, so every row is encoded by one function.
         """
-        n = len(bids)
-        pdu_ids = tuple(sorted({b.pdu_id for b in bids}))
-        pdu_index = {p: i for i, p in enumerate(pdu_ids)}
-        raw_code = np.fromiter(
-            (pdu_index[b.pdu_id] for b in bids), dtype=np.intp, count=n
-        )
-        order = np.argsort(raw_code, kind="stable")
-        ordered = [bids[int(i)] for i in order]
-
-        tenant_ids = tuple(dict.fromkeys(b.tenant_id for b in ordered))
-        tenant_index = {t: i for i, t in enumerate(tenant_ids)}
-
-        kind = np.empty(n, dtype=np.uint8)
-        d_max = np.empty(n)
-        q_min = np.empty(n)
-        d_min = np.empty(n)
-        q_max = np.empty(n)
-        caps = np.empty(n)
-        max_demand = np.empty(n)
-        floor = np.empty(n)
-        demands: list[DemandFunction | None] = []
-        points: list[float] = []
-        for i, b in enumerate(ordered):
-            fn = b.demand
-            caps[i] = b.rack_cap_w
-            # The type checks are deliberately exact: subclasses may
-            # override demand_at/demand_grid, so they must be sampled.
-            if type(fn) is LinearBid:
-                kind[i] = KIND_CLOSED
-                d_max[i] = fn.d_max_w
-                q_min[i] = fn.q_min
-                d_min[i] = fn.d_min_w
-                q_max[i] = fn.q_max
-                max_demand[i] = fn.d_max_w
-                demands.append(None)
-            elif type(fn) is StepBid:
-                kind[i] = KIND_CLOSED
-                d_max[i] = fn.demand_w
-                d_min[i] = fn.demand_w
-                q_min[i] = fn.price_cap
-                q_max[i] = fn.price_cap
-                max_demand[i] = fn.demand_w
-                demands.append(None)
-            else:
-                kind[i] = KIND_SAMPLED
-                d_max[i] = 0.0
-                d_min[i] = 0.0
-                q_min[i] = 0.0
-                q_max[i] = fn.max_price
-                max_demand[i] = fn.max_demand_w
-                demands.append(fn)
-            # Grid augmentation points, collected exactly as the object
-            # path does (public curve attributes only).
-            for attr in ("q_min", "q_max", "price_cap"):
-                value = getattr(fn, attr, None)
-                if value is not None:
-                    points.append(float(value))
-        # Rack-clipped demand at each row's own max acceptable price,
-        # with the same float arithmetic as demand_at(max_price).
-        for i, b in enumerate(ordered):
-            if kind[i] == KIND_CLOSED:
-                at_cap = (
-                    d_max[i]
-                    if q_max[i] <= q_min[i]
-                    else d_max[i] + (d_min[i] - d_max[i])
-                )
-            else:
-                at_cap = b.demand.demand_at(b.demand.max_price)
-            floor[i] = min(at_cap, caps[i])
-        return cls(
-            rack_ids=tuple(b.rack_id for b in ordered),
-            pdu_ids=pdu_ids,
-            pdu_code=raw_code[order],
-            tenant_ids=tenant_ids,
-            tenant_code=np.fromiter(
-                (tenant_index[b.tenant_id] for b in ordered),
-                dtype=np.intp,
-                count=n,
-            ),
-            kind=kind,
-            d_max_w=d_max,
-            q_min=q_min,
-            d_min_w=d_min,
-            q_max=q_max,
-            rack_cap_w=caps,
-            max_demand_w=max_demand,
-            floor_w=floor,
-            breakpoints=np.asarray(points, dtype=float),
-            demands=tuple(demands),
-            bids=tuple(ordered),
+        groups = group_by_pdu(bids)
+        return cls.from_blocks(
+            [PduBlock(p, tuple(groups[p])) for p in sorted(groups)]
         )
 
     @classmethod
@@ -357,19 +397,36 @@ class BidFrame:
     def from_blocks(cls, blocks: Sequence) -> "BidFrame":
         """Assemble a frame from per-PDU column blocks (sorted by PDU).
 
-        Blocks are :class:`repro.core.sharding.PduBlock`-shaped objects:
-        one PDU's rows, already columnar, with a *local* tenant table.
-        The result is value-identical to ``from_bids`` over the
-        concatenated bid lists: rows concatenate in block (= PDU-sorted,
-        submission-stable) order, and the merged tenant table preserves
-        first appearance over rows — within a block the local table is
-        first-appearance ordered, and blocks merge in row order, so
-        ``dict.setdefault`` over block tables reproduces
-        ``dict.fromkeys`` over rows exactly.
+        Blocks are :class:`PduBlock` objects: one PDU's rows, already
+        columnar, with a *local* tenant table.  Rows concatenate in
+        block (= PDU-sorted, submission-stable) order, and the merged
+        tenant table preserves first appearance over rows — within a
+        block the local table is first-appearance ordered, and blocks
+        merge in row order, so ``dict.setdefault`` over block tables
+        yields first-appearance order over the whole frame.
         """
         blocks = [b for b in blocks if len(b.rack_ids)]
         if not blocks:
-            return cls.from_bids([])
+            codes = np.empty(0, dtype=np.intp)
+            empty = np.empty(0)
+            return cls(
+                rack_ids=(),
+                pdu_ids=(),
+                pdu_code=codes,
+                tenant_ids=(),
+                tenant_code=codes,
+                kind=np.empty(0, dtype=np.uint8),
+                d_max_w=empty,
+                q_min=empty,
+                d_min_w=empty,
+                q_max=empty,
+                rack_cap_w=empty,
+                max_demand_w=empty,
+                floor_w=empty,
+                breakpoints=empty,
+                demands=(),
+                bids=(),
+            )
         tenant_index: dict[str, int] = {}
         tenant_cols = []
         pdu_cols = []
@@ -471,7 +528,7 @@ class BidFrame:
         """
         if self._segments is None:
             boundaries = np.flatnonzero(np.diff(self.pdu_code)) + 1
-            starts = np.concatenate([[0], boundaries])
+            starts = np.concatenate([[0], boundaries]) if len(self) else boundaries
             self._segments = (starts, self.pdu_code[starts])
         return self._segments
 
@@ -516,8 +573,7 @@ class BidFrame:
     ) -> np.ndarray:
         """Per-PDU totals of a ``(n_bids, n_prices)`` demand block.
 
-        Rows are PDU-sorted, so this is a contiguous segment sum — the
-        columnar replacement for the object path's per-bid scatter adds.
+        Rows are PDU-sorted, so this is a contiguous segment sum.
         """
         if out is None:
             out = np.zeros((len(self.pdu_ids), demand.shape[1]))
@@ -605,7 +661,7 @@ class BidFrame:
             # float-ulp on the wrong side of a grid point; classify the
             # boundary point by value (j_start must be the first index
             # where the line is below the cap) so flat cells are exactly
-            # `cap`, matching the object path's min() bit for bit.
+            # `cap`, matching min(demand_grid, cap) bit for bit.
             # Unclipped rows break at q_lo, which searchsorted gets exact.
             clipped = sloped & (cap < d_max)
             at_prev = intercept + slope * prices[np.maximum(j_start - 1, 0)]

@@ -21,7 +21,7 @@ from repro.core.allocation import AllocationResult, verify_allocation
 from repro.core.bids import RackBid, flatten_bids
 from repro.core.clearing import MarketClearing
 from repro.core.frame import BidFrame
-from repro.core.sharding import IncrementalFrameBuilder, clear_per_pdu_sharded
+from repro.core.sharding import IncrementalFrameBuilder
 from repro.errors import ConfigurationError
 from repro.prediction.spot import SpotCapacityForecast
 from repro.core.bids import TenantBid
@@ -121,23 +121,11 @@ class SpotDCAllocator(Allocator):
             quarantined whole — the tenant sits the slot out, exactly
             like a lost bid — and surface on
             :attr:`SlotMarketRecord.quarantined`.
-        shards: Partition the per-PDU clearing work into this many
-            contiguous shards (:mod:`repro.core.sharding`).  ``1`` (the
-            default) is the serial path; any value produces
-            byte-identical results — sharding only changes *where* each
-            PDU clears.  Requires ``pricing="per_pdu"``.
-        shard_jobs: Process-pool width for shard fan-out; ``1`` clears
-            shards in-process (deterministic either way).
-        shard_spans: Emit one ``clearing.shard`` telemetry span per
-            shard.  Off by default because span counts differ across
-            shard configurations, which would break trace byte-identity
-            between sharded and unsharded runs.
-        incremental: Build each slot's frame through the
-            :class:`~repro.core.sharding.IncrementalFrameBuilder`
-            (default on): only PDUs whose bids changed since the last
-            slot are re-aggregated, and an unchanged slot reuses the
-            previous frame object outright.  Output is value-identical
-            to ``BidFrame.from_bids`` either way.
+
+    Each slot's frame comes from an
+    :class:`~repro.core.sharding.IncrementalFrameBuilder`: only PDUs
+    whose bids changed since the last slot are re-encoded, and an
+    unchanged slot reuses the previous frame object outright.
     """
 
     name = "spotdc"
@@ -150,61 +138,25 @@ class SpotDCAllocator(Allocator):
         oracle_rebid: bool = False,
         pricing: str = "per_pdu",
         admission: bool = True,
-        shards: int = 1,
-        shard_jobs: int = 1,
-        shard_spans: bool = False,
-        incremental: bool = True,
     ) -> None:
         if pricing not in ("per_pdu", "uniform"):
             raise ConfigurationError(f"unknown pricing mode {pricing!r}")
-        if not isinstance(shards, int) or isinstance(shards, bool) or shards < 1:
-            raise ConfigurationError(
-                f"shards must be an integer >= 1, got {shards!r}"
-            )
-        if shards > 1 and pricing != "per_pdu":
-            raise ConfigurationError(
-                "sharded clearing decomposes along the PDU hierarchy and "
-                'requires pricing="per_pdu"'
-            )
         self.params = params or MarketParameters()
         self.engine = MarketClearing(params=self.params)
         self.verify = verify
         self.oracle_rebid = oracle_rebid
         self.pricing = pricing
         self.admission = admission
-        self.shards = shards
-        self.shard_jobs = shard_jobs
-        self.shard_spans = shard_spans
-        self.frame_builder = IncrementalFrameBuilder() if incremental else None
+        self.frame_builder = IncrementalFrameBuilder()
 
-    def _build_frame(self, bids) -> BidFrame:
-        if self.frame_builder is not None:
-            return self.frame_builder.build(bids)
-        return BidFrame.from_bids(bids)
-
-    def _clear(self, bids, forecast, extra_constraints=(), tracer=None, slot=0):
-        if self.pricing == "per_pdu":
-            if (
-                self.shards > 1
-                and isinstance(bids, BidFrame)
-                and len(bids)
-            ):
-                return clear_per_pdu_sharded(
-                    self.engine,
-                    bids,
-                    forecast.pdu_spot_w,
-                    forecast.ups_spot_w,
-                    extra_constraints,
-                    shards=self.shards,
-                    jobs=self.shard_jobs,
-                    tracer=tracer if self.shard_spans else None,
-                    slot=slot,
-                )
-            return self.engine.clear_per_pdu(
-                bids, forecast.pdu_spot_w, forecast.ups_spot_w, extra_constraints
-            )
-        return self.engine.clear(
-            bids, forecast.pdu_spot_w, forecast.ups_spot_w, extra_constraints
+    def _clear(self, frame, forecast, extra_constraints=()):
+        clear = (
+            self.engine.clear_per_pdu
+            if self.pricing == "per_pdu"
+            else self.engine.clear
+        )
+        return clear(
+            frame, forecast.pdu_spot_w, forecast.ups_spot_w, extra_constraints
         )
 
     def _collect_bids(
@@ -293,10 +245,8 @@ class SpotDCAllocator(Allocator):
             # and billing all consume the frame from here on.  The
             # incremental builder re-aggregates only PDUs whose bids
             # changed since the last slot.
-            frame = self._build_frame(bids)
-            result = self._clear(
-                frame, forecast, extra_constraints, tracer=tracer, slot=slot
-            )
+            frame = self.frame_builder.build(bids)
+            result = self._clear(frame, forecast, extra_constraints)
             if self.oracle_rebid and bids:
                 # Fig. 16: strategic tenants re-bid knowing the market
                 # price.  The rebid frame is transient — it must not
@@ -305,9 +255,7 @@ class SpotDCAllocator(Allocator):
                     slot, tenants, result.price
                 )
                 frame = BidFrame.from_bids(rebids)
-                result = self._clear(
-                    frame, forecast, extra_constraints, tracer=tracer, slot=slot
-                )
+                result = self._clear(frame, forecast, extra_constraints)
                 bids = rebids
                 quarantined = requarantined
             if self.verify:
@@ -336,20 +284,3 @@ class SpotDCAllocator(Allocator):
             frame=frame,
             quarantined=quarantined,
         )
-
-    @staticmethod
-    def _payments(
-        result: AllocationResult, bids: Sequence[RackBid], slot_seconds: float
-    ) -> dict[str, float]:
-        """Object-path billing, kept as the parity reference for
-        :meth:`repro.core.frame.BidFrame.settle` (see
-        ``tests/test_bidframe_parity.py``)."""
-        slot_hours = slot_seconds / 3600.0
-        payments: dict[str, float] = {}
-        bid_of = {bid.rack_id: bid for bid in bids}
-        for rack_id, grant in result.grants_w.items():
-            bid = bid_of[rack_id]
-            paid_price = result.price_for_pdu(bid.pdu_id)
-            dollars = (grant / 1000.0) * paid_price * slot_hours
-            payments[bid.tenant_id] = payments.get(bid.tenant_id, 0.0) + dollars
-        return payments

@@ -1,191 +1,28 @@
-"""Sharded, incremental clearing for million-rack fleets.
+"""Incremental frame building: persistent per-PDU blocks across slots.
 
-Two scaling walls stand between the 15k-rack columnar pipeline and the
-ROADMAP's million-rack north star, and this module removes both:
+At 15k racks the clear itself runs in ~11 ms, but rebuilding the
+:class:`~repro.core.frame.BidFrame` struct-of-arrays from scratch costs
+~32 ms *every slot*, even when no bid changed.
+:class:`IncrementalFrameBuilder` keeps the per-PDU column blocks
+(:class:`~repro.core.frame.PduBlock`) alive across slots and re-encodes
+only the PDUs whose bids actually changed since the previous slot; an
+unchanged slot returns the previous frame *object* (which also keeps its
+cached price grid and PDU slices alive downstream).
 
-1. **Frame construction dominates.**  At 15k racks the clear itself runs
-   in ~11 ms but rebuilding the :class:`~repro.core.frame.BidFrame`
-   struct-of-arrays from scratch costs ~32 ms *every slot*, even when
-   no bid changed.  :class:`IncrementalFrameBuilder` keeps persistent
-   per-PDU column blocks (:class:`PduBlock`) and re-aggregates only the
-   PDUs whose bids actually changed since the previous slot; an
-   unchanged slot returns the previous frame *object* (which also keeps
-   its cached price grid and PDU slices alive downstream).
-
-2. **One process clears everything.**  The market's physical hierarchy
-   (UPS → PDU → rack, paper Eqs. 2-4) makes each PDU subtree an
-   independently clearable market once the UPS headroom has been
-   apportioned — the same decomposition clusterman applies to resource
-   groups.  :func:`clear_per_pdu_sharded` partitions the per-PDU task
-   list into contiguous shards, fans them out through
-   ``repro.sweep.parallel_map`` (process pool), merges the results in
-   global PDU order, and runs a shrink-only reconciliation pass
-   (:func:`reconcile_allocation`) against the UPS constraint.
-
-Determinism is the contract that makes sharding safe to enable
-anywhere: the per-PDU tasks are *identical* to the serial path's
-(:meth:`MarketClearing._pdu_tasks`), each shard clears its tasks with
-the same float arithmetic, and the merge re-accumulates results
-sequentially in global PDU order — so the sharded result is
-byte-identical to the unsharded one at any shard count (machine-checked
-in ``tests/test_sharding.py``), and crash/resume and daemon-WAL replay
-invariants carry over unchanged.
-
-Why reconciliation is normally a no-op (proof sketch, expanded in
-``docs/sharding.md``): each PDU's local clear grants at most its
-apportioned cap ``c_m``; when total servable interest exceeds the UPS
-headroom the apportioning scales caps so ``Σ c_m <= P_o``, and when it
-does not, total grants are bounded by total interest ``<= P_o``.
-Either way the merged allocation already satisfies Eqs. 2-4, so
-:func:`reconcile_allocation` detects no violation and returns the
-result object untouched.  The pass exists as a *guard*: if a violation
-ever appears (a future non-conservative apportioning, an external
-result), it scales grants down — never up — so Eq. 2 (rack caps only
-shrink), Eq. 3 (per-PDU totals clamped to ``P_m``), and Eq. 4 (the
-facility total clamped to ``P_o``) all hold on exit.
+The per-PDU decomposition of the clear itself, and the shrink-only
+reconcile guard that closes it, live in :mod:`repro.core.clearing`
+(see ``docs/sharding.md``).
 """
 
 from __future__ import annotations
 
-import dataclasses
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 
-import numpy as np
-
-from repro.core.allocation import AllocationResult
 from repro.core.bids import RackBid
-from repro.core.clearing import MarketClearing
-from repro.core.demand import DemandFunction, LinearBid, StepBid
-from repro.core.frame import KIND_CLOSED, KIND_SAMPLED, BidFrame
-from repro.errors import ClearingError
+from repro.core.demand import LinearBid, StepBid
+from repro.core.frame import BidFrame, PduBlock, group_by_pdu
 
-__all__ = [
-    "PduBlock",
-    "IncrementalFrameBuilder",
-    "partition_tasks",
-    "clear_per_pdu_sharded",
-    "reconcile_allocation",
-]
-
-
-class PduBlock:
-    """One PDU's bids as a persistent columnar block.
-
-    A block is one PDU's slice of the frame columns, built with exactly
-    the same per-row arithmetic as :meth:`BidFrame.from_bids` so that
-    concatenating blocks (:meth:`BidFrame.from_blocks`) reproduces the
-    from-scratch frame element for element.  The tenant table is
-    *local* (first appearance within this PDU's rows);
-    ``from_blocks`` merges the local tables in block order, which
-    preserves global first-appearance order.
-    """
-
-    __slots__ = (
-        "pdu_id",
-        "bids",
-        "rack_ids",
-        "tenant_table",
-        "tenant_code_local",
-        "kind",
-        "d_max_w",
-        "q_min",
-        "d_min_w",
-        "q_max",
-        "rack_cap_w",
-        "max_demand_w",
-        "floor_w",
-        "breakpoints",
-        "demands",
-    )
-
-    def __init__(self, pdu_id: str, bids: tuple[RackBid, ...]) -> None:
-        n = len(bids)
-        tenant_index: dict[str, int] = {}
-        tenant_code = np.fromiter(
-            (
-                tenant_index.setdefault(b.tenant_id, len(tenant_index))
-                for b in bids
-            ),
-            dtype=np.intp,
-            count=n,
-        )
-        kind = np.empty(n, dtype=np.uint8)
-        d_max = np.empty(n)
-        q_min = np.empty(n)
-        d_min = np.empty(n)
-        q_max = np.empty(n)
-        caps = np.empty(n)
-        max_demand = np.empty(n)
-        floor = np.empty(n)
-        demands: list[DemandFunction | None] = []
-        points: list[float] = []
-        # Row arithmetic mirrors BidFrame.from_bids exactly — including
-        # the breakpoint attribute sweep and the two-segment floor
-        # formula — so block-built and from-scratch frames are
-        # value-identical (property-tested in
-        # tests/test_incremental_frame.py).
-        for i, b in enumerate(bids):
-            fn = b.demand
-            caps[i] = b.rack_cap_w
-            if type(fn) is LinearBid:
-                kind[i] = KIND_CLOSED
-                d_max[i] = fn.d_max_w
-                q_min[i] = fn.q_min
-                d_min[i] = fn.d_min_w
-                q_max[i] = fn.q_max
-                max_demand[i] = fn.d_max_w
-                demands.append(None)
-            elif type(fn) is StepBid:
-                kind[i] = KIND_CLOSED
-                d_max[i] = fn.demand_w
-                d_min[i] = fn.demand_w
-                q_min[i] = fn.price_cap
-                q_max[i] = fn.price_cap
-                max_demand[i] = fn.demand_w
-                demands.append(None)
-            else:
-                kind[i] = KIND_SAMPLED
-                d_max[i] = 0.0
-                d_min[i] = 0.0
-                q_min[i] = 0.0
-                q_max[i] = fn.max_price
-                max_demand[i] = fn.max_demand_w
-                demands.append(fn)
-            for attr in ("q_min", "q_max", "price_cap"):
-                value = getattr(fn, attr, None)
-                if value is not None:
-                    points.append(float(value))
-        for i, b in enumerate(bids):
-            if kind[i] == KIND_CLOSED:
-                at_cap = (
-                    d_max[i]
-                    if q_max[i] <= q_min[i]
-                    else d_max[i] + (d_min[i] - d_max[i])
-                )
-            else:
-                at_cap = b.demand.demand_at(b.demand.max_price)
-            floor[i] = min(at_cap, caps[i])
-        self.pdu_id = pdu_id
-        self.bids = bids
-        self.rack_ids = tuple(b.rack_id for b in bids)
-        self.tenant_table = tuple(tenant_index)
-        self.tenant_code_local = tenant_code
-        self.kind = kind
-        self.d_max_w = d_max
-        self.q_min = q_min
-        self.d_min_w = d_min
-        self.q_max = q_max
-        self.rack_cap_w = caps
-        self.max_demand_w = max_demand
-        self.floor_w = floor
-        self.breakpoints = np.asarray(points, dtype=float)
-        self.demands = tuple(demands)
-
-    def __len__(self) -> int:
-        return len(self.rack_ids)
-
-    def __repr__(self) -> str:
-        return f"PduBlock(pdu={self.pdu_id!r}, bids={len(self)})"
+__all__ = ["IncrementalFrameBuilder"]
 
 
 def _same_bid(old: RackBid, new: RackBid) -> bool:
@@ -233,9 +70,8 @@ def _same_bids(old: Sequence[RackBid], new: Sequence[RackBid]) -> bool:
 class IncrementalFrameBuilder:
     """Build each slot's :class:`BidFrame` from persistent PDU blocks.
 
-    ``build(bids)`` groups the slot's bids by PDU (one pass, preserving
-    submission order — the stable-sort equivalence with
-    ``BidFrame.from_bids``), reuses every block whose bids are
+    ``build(bids)`` groups the slot's bids by PDU exactly as
+    :meth:`BidFrame.from_bids` does, reuses every block whose bids are
     value-unchanged since the previous slot, rebuilds only the dirty
     ones, and assembles the frame through :meth:`BidFrame.from_blocks`.
     A slot with *no* dirty or removed PDUs returns the previous frame
@@ -265,9 +101,7 @@ class IncrementalFrameBuilder:
     def build(self, bids: Sequence[RackBid]) -> BidFrame:
         """The slot's frame, value-identical to ``BidFrame.from_bids``."""
         self.builds += 1
-        groups: dict[str, list[RackBid]] = {}
-        for b in bids:
-            groups.setdefault(b.pdu_id, []).append(b)
+        groups = group_by_pdu(bids)
         removed = [p for p in self._blocks if p not in groups]
         dirty: list[str] = []
         blocks: dict[str, PduBlock] = {}
@@ -287,229 +121,3 @@ class IncrementalFrameBuilder:
         frame = BidFrame.from_blocks([blocks[p] for p in sorted(blocks)])
         self._frame = frame
         return frame
-
-
-def partition_tasks(tasks: Sequence, shards: int) -> list[list]:
-    """Split an ordered task list into ≤ ``shards`` contiguous groups.
-
-    Groups are balanced by row weight (``len(task[1])``) with integer
-    arithmetic only, so the partition is deterministic and contiguity
-    follows from the assignment index being monotone in the running
-    weight.  Contiguity is what lets the merge step flatten group
-    results straight back into global PDU order.
-    """
-    tasks = list(tasks)
-    if not tasks:
-        return []
-    shards = max(1, min(int(shards), len(tasks)))
-    weights = [max(len(t[1]), 1) for t in tasks]
-    total = sum(weights)
-    groups: list[list] = [[] for _ in range(shards)]
-    acc = 0
-    for task, w in zip(tasks, weights):
-        groups[min(shards - 1, acc * shards // total)].append(task)
-        acc += w
-    return [g for g in groups if g]
-
-
-def _shippable(sub: BidFrame) -> BidFrame:
-    """A worker-bound copy of one PDU slice, stripped for pickling.
-
-    PDU slices share the *global* tenant table (a million-entry tuple at
-    full scale) and carry the original bid objects; shipping either to
-    a pool worker would dwarf the clear itself.  The clear needs
-    neither: ``_clear_frame`` never reads ``_bids``, and
-    :class:`AllocationResult` carries no tenant attribution.  The
-    tenant table is rebased to the slice's own tenants (kept so the
-    copy remains a well-formed frame); sampled demand objects stay —
-    they are evaluated inside the worker.
-    """
-    used = np.unique(sub.tenant_code)
-    local_code = np.searchsorted(used, sub.tenant_code).astype(
-        np.intp, copy=False
-    )
-    return BidFrame(
-        rack_ids=sub.rack_ids,
-        pdu_ids=sub.pdu_ids,
-        pdu_code=sub.pdu_code,
-        tenant_ids=tuple(sub.tenant_ids[int(i)] for i in used),
-        tenant_code=local_code,
-        kind=sub.kind,
-        d_max_w=sub.d_max_w,
-        q_min=sub.q_min,
-        d_min_w=sub.d_min_w,
-        q_max=sub.q_max,
-        rack_cap_w=sub.rack_cap_w,
-        max_demand_w=sub.max_demand_w,
-        floor_w=sub.floor_w,
-        breakpoints=sub.breakpoints,
-        demands=sub._demands,
-        bids=None,
-    )
-
-
-def _clear_shard_payload(payload) -> list[tuple[str, AllocationResult]]:
-    """Pool worker: clear one shard's PDU tasks, results in task order.
-
-    The worker reconstructs the clearing engine from its picklable
-    configuration; each task clears through the *same* code path as the
-    serial engine, so results are bit-identical to in-process clearing.
-    """
-    params, include_breakpoints, tasks = payload
-    engine = MarketClearing(
-        params=params, include_breakpoints=include_breakpoints
-    )
-    return [
-        (pdu_id, engine._clear_pdu_slice((pdu_id, sub, cap, cons)))
-        for pdu_id, sub, cap, cons in tasks
-    ]
-
-
-def clear_per_pdu_sharded(
-    engine: MarketClearing,
-    frame: BidFrame,
-    pdu_spot_w: Mapping[str, float],
-    ups_spot_w: float,
-    extra_constraints: Sequence = (),
-    shards: int = 1,
-    jobs: int = 1,
-    tracer=None,
-    slot: int = 0,
-) -> AllocationResult:
-    """Locational clearing decomposed along the PDU hierarchy.
-
-    Builds the same per-PDU task list as the serial
-    ``clear_per_pdu`` path, partitions it into contiguous shards,
-    clears each shard (in-process when ``jobs <= 1``, through a process
-    pool otherwise), merges results in global PDU order, and applies
-    the shrink-only :func:`reconcile_allocation` guard.  Byte-identical
-    to ``engine.clear_per_pdu(frame, ...)`` at any ``shards``/``jobs``.
-
-    ``tracer`` (optional) records one ``clearing.shard`` span per shard
-    with pdu/rack counts; pass ``None`` (the default) whenever trace
-    byte-identity across shard counts matters.
-    """
-    if ups_spot_w < 0:
-        raise ClearingError(f"negative UPS spot capacity {ups_spot_w}")
-    if not len(frame):
-        return AllocationResult.empty()
-    tasks = engine._pdu_tasks(frame, pdu_spot_w, ups_spot_w, extra_constraints)
-    groups = partition_tasks(tasks, shards)
-    per_pdu: list[tuple[str, AllocationResult]] = []
-    if jobs > 1 and len(groups) > 1:
-        payloads = [
-            (
-                engine.params,
-                engine.include_breakpoints,
-                [
-                    (pdu_id, _shippable(sub), cap, cons)
-                    for pdu_id, sub, cap, cons in group
-                ],
-            )
-            for group in groups
-        ]
-        # Imported lazily: repro.core must stay importable without
-        # pulling the sweep machinery (and its pool imports) in.
-        from repro.sweep.runner import parallel_map
-
-        shard_results = parallel_map(_clear_shard_payload, payloads, jobs=jobs)
-        for i, (group, results) in enumerate(zip(groups, shard_results)):
-            if tracer is not None:
-                with tracer.span("clearing.shard", slot=slot) as span:
-                    span.set(
-                        shard=i,
-                        pdus=len(group),
-                        racks=sum(len(t[1]) for t in group),
-                    )
-            per_pdu.extend(results)
-    else:
-        for i, group in enumerate(groups):
-            if tracer is not None:
-                with tracer.span("clearing.shard", slot=slot) as span:
-                    span.set(
-                        shard=i,
-                        pdus=len(group),
-                        racks=sum(len(t[1]) for t in group),
-                    )
-                    per_pdu.extend(
-                        (task[0], engine._clear_pdu_slice(task))
-                        for task in group
-                    )
-            else:
-                per_pdu.extend(
-                    (task[0], engine._clear_pdu_slice(task)) for task in group
-                )
-    combined = engine._combine_pdu_results(frame, per_pdu)
-    return reconcile_allocation(combined, frame, pdu_spot_w, ups_spot_w)
-
-
-def reconcile_allocation(
-    result: AllocationResult,
-    frame: BidFrame,
-    pdu_spot_w: Mapping[str, float],
-    ups_spot_w: float,
-    tolerance_w: float = 1e-6,
-) -> AllocationResult:
-    """Shrink-only fix-up of a merged allocation against Eqs. 3-4.
-
-    When the allocation already satisfies every PDU cap and the UPS
-    cap — which the apportioning guarantees for anything the sharded
-    path merges (see the module docstring) — the *same* result object
-    is returned, floats untouched, preserving byte-identity with the
-    serial path.  On a genuine violation, grants scale down per
-    over-cap PDU and then globally against the UPS headroom; revenue
-    and the grant-weighted headline price are recomputed from the
-    surviving grants.  Grants only ever shrink, so rack caps (Eq. 2)
-    stay satisfied and the clamps enforce Eqs. 3-4 directly.
-    """
-    granted = np.fromiter(
-        (result.grants_w.get(rid, 0.0) for rid in frame.rack_ids),
-        dtype=float,
-        count=len(frame),
-    )
-    starts, seg_codes = frame.segments()
-    totals = np.add.reduceat(granted, starts)
-    caps = np.fromiter(
-        (pdu_spot_w.get(frame.pdu_ids[int(s)], 0.0) for s in seg_codes),
-        dtype=float,
-        count=len(starts),
-    )
-    total = float(granted.sum())
-    over_pdu = totals > caps + tolerance_w
-    if not over_pdu.any() and total <= ups_spot_w + tolerance_w:
-        return result
-
-    scale = np.ones(len(starts))
-    np.divide(caps, totals, out=scale, where=over_pdu)
-    lengths = np.diff(np.concatenate([starts, [len(frame)]]))
-    granted = granted * np.repeat(scale, lengths)
-    total = float(granted.sum())
-    if total > ups_spot_w + tolerance_w and total > 0:
-        granted *= ups_spot_w / total
-        total = float(granted.sum())
-
-    grants = dict(zip(frame.rack_ids, granted.tolist()))
-    # Preserve explicit zero entries for racks the clear priced out.
-    for rid, g in result.grants_w.items():
-        if rid not in grants:
-            grants[rid] = g
-    pdu_totals = np.add.reduceat(granted, starts) if len(frame) else totals
-    revenue = 0.0
-    row_prices = np.fromiter(
-        (result.pdu_prices.get(p, result.price) for p in frame.pdu_ids),
-        dtype=float,
-        count=len(frame.pdu_ids),
-    )
-    for seg, sub_total in zip(seg_codes, pdu_totals):
-        revenue += float(row_prices[int(seg)]) * float(sub_total) / 1000.0
-    headline = (
-        float((row_prices[frame.pdu_code] * granted).sum()) / total
-        if total > 0
-        else 0.0
-    )
-    return dataclasses.replace(
-        result,
-        price=headline,
-        grants_w=grants,
-        revenue_rate=revenue,
-    )

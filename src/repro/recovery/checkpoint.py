@@ -12,13 +12,17 @@ byte-identical traces and an equal :class:`SimulationResult`.
 Format & compatibility policy
 -----------------------------
 
-The envelope is ``{"magic", "format", "slot", "horizon", "engine"}``.
+A checkpoint file holds two pickles: the header
+``{"magic", "format", "slot", "horizon"}``, then the engine.
 ``format`` (:data:`CHECKPOINT_FORMAT`) is bumped on any change to the
 engine's pickled state layout; there is **no** cross-version migration —
 a checkpoint is scoped to the code that wrote it (it exists to survive a
 crash, not a deploy), so a version mismatch raises
 :class:`~repro.errors.RecoveryError` and the run must restart from
-slot 0.  Writes are atomic (temp file + :func:`os.replace`) so a crash
+slot 0.  The header is read without resolving any class, so a file from
+an older layout — formats 1-2 pickled header and engine as one dict —
+is refused by its version before its engine is ever unpickled.  Writes
+are atomic (temp file + :func:`os.replace`) so a crash
 *during* checkpointing leaves the previous checkpoint intact.
 """
 
@@ -43,10 +47,47 @@ __all__ = [
 #: Checkpoint format version; bumped on any engine state-layout change.
 #: 2: the engine carries its mid-loop run state (``_run``) so daemon-mode
 #: resumes continue inside the slot loop.
-CHECKPOINT_FORMAT = 2
+#: 3: header and engine are separate pickles; the allocator lost its
+#: sharding knobs and ``PduBlock`` moved to :mod:`repro.core.frame`.
+CHECKPOINT_FORMAT = 3
 
 _MAGIC = "spotdc-checkpoint"
 _NAME_RE = re.compile(r"^checkpoint_(\d{6,})\.pkl$")
+
+
+class _Opaque:
+    """Stand-in for every class a header read meets; absorbs any state."""
+
+    def __new__(cls, *args, **kwargs):
+        return object.__new__(cls)
+
+    def __init__(self, *args, **kwargs):
+        pass
+
+    def __setstate__(self, state):
+        pass
+
+    def __setitem__(self, key, value):
+        pass
+
+    def append(self, value):
+        pass
+
+    def extend(self, values):
+        pass
+
+
+class _HeaderUnpickler(pickle.Unpickler):
+    """Reads a checkpoint header without importing or running anything.
+
+    A current header holds only builtins.  An older single-pickle
+    envelope also carries the engine; its classes become inert
+    :class:`_Opaque` objects, so the version check can refuse the file
+    even when those classes no longer exist.
+    """
+
+    def find_class(self, module, name):
+        return _Opaque
 
 
 def checkpoint_path(directory: str | Path, slot: int) -> Path:
@@ -77,18 +118,18 @@ def save_checkpoint(
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    envelope = {
+    header = {
         "magic": _MAGIC,
         "format": CHECKPOINT_FORMAT,
         "slot": int(slot),
         "horizon": int(horizon),
-        "engine": engine,
     }
     path = checkpoint_path(directory, slot)
     tmp = path.with_suffix(".pkl.tmp")
     try:
         with open(tmp, "wb") as fh:
-            pickle.dump(envelope, fh, protocol=pickle.HIGHEST_PROTOCOL)
+            pickle.dump(header, fh, protocol=pickle.HIGHEST_PROTOCOL)
+            pickle.dump(engine, fh, protocol=pickle.HIGHEST_PROTOCOL)
     except (pickle.PicklingError, TypeError, AttributeError) as exc:
         tmp.unlink(missing_ok=True)
         raise RecoveryError(
@@ -114,32 +155,36 @@ def load_checkpoint(path: str | Path) -> dict:
     path = Path(path)
     if not path.exists():
         raise RecoveryError(f"checkpoint not found: {path}")
-    try:
-        with open(path, "rb") as fh:
-            envelope = pickle.load(fh)
-    except Exception as exc:
-        # A truncated or bit-flipped pickle stream can raise nearly
-        # anything (EOFError, UnpicklingError, ImportError, KeyError,
-        # UnicodeDecodeError, ...); every flavour of corruption must
-        # surface as a RecoveryError naming the file, never as a raw
-        # pickle traceback.
-        raise RecoveryError(f"corrupt checkpoint {path}: {exc!r}") from exc
-    if not isinstance(envelope, dict) or envelope.get("magic") != _MAGIC:
-        raise RecoveryError(f"{path} is not a SpotDC checkpoint")
-    version = envelope.get("format")
-    if version != CHECKPOINT_FORMAT:
-        raise RecoveryError(
-            f"checkpoint {path} has format {version}, this build reads "
-            f"{CHECKPOINT_FORMAT}; checkpoints do not survive state-layout "
-            "changes — restart the run from slot 0"
-        )
-    missing = [k for k in ("slot", "horizon", "engine") if k not in envelope]
-    if missing:
-        raise RecoveryError(
-            f"corrupt checkpoint {path}: envelope is missing "
-            f"{', '.join(missing)}"
-        )
-    return envelope
+    # A truncated or bit-flipped pickle stream can raise nearly anything
+    # (EOFError, UnpicklingError, ImportError, KeyError,
+    # UnicodeDecodeError, ...); every flavour of corruption must surface
+    # as a RecoveryError naming the file, never as a raw pickle
+    # traceback.
+    with open(path, "rb") as fh:
+        try:
+            header = _HeaderUnpickler(fh).load()
+        except Exception as exc:
+            raise RecoveryError(f"corrupt checkpoint {path}: {exc!r}") from exc
+        if not isinstance(header, dict) or header.get("magic") != _MAGIC:
+            raise RecoveryError(f"{path} is not a SpotDC checkpoint")
+        version = header.get("format")
+        if version != CHECKPOINT_FORMAT:
+            raise RecoveryError(
+                f"checkpoint {path} has format {version}, this build reads "
+                f"{CHECKPOINT_FORMAT}; checkpoints do not survive "
+                "state-layout changes — restart the run from slot 0"
+            )
+        missing = [k for k in ("slot", "horizon") if k not in header]
+        if missing:
+            raise RecoveryError(
+                f"corrupt checkpoint {path}: header is missing "
+                f"{', '.join(missing)}"
+            )
+        try:
+            engine = pickle.load(fh)
+        except Exception as exc:
+            raise RecoveryError(f"corrupt checkpoint {path}: {exc!r}") from exc
+    return {**header, "engine": engine}
 
 
 def latest_checkpoint(directory: str | Path) -> Path | None:

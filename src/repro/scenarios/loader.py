@@ -237,7 +237,6 @@ def build_scenario(
     deadline = normal["recovery"]["clearing_deadline_s"]
     if deadline is not None:
         builder.with_clearing_deadline(deadline)
-    builder.with_market_shards(normal["market"]["shards"])
 
     scenario = builder._assemble_scenario()
     scenario.spec = normal

@@ -371,7 +371,6 @@ def normalize_spec(raw) -> dict:
         "faults": _normalize_faults(spec.get("faults")),
         "telemetry": telemetry,
         "recovery": {"clearing_deadline_s": deadline},
-        "market": {"shards": (spec.get("market") or {}).get("shards", 1)},
     }
 
 

@@ -103,7 +103,6 @@ class ScenarioBuilder:
         self._prediction = None
         self._events = None
         self._clearing_deadline = None
-        self._shards = 1
 
     def with_fault_profile(self, profile) -> "ScenarioBuilder":
         """Attach a :class:`repro.resilience.FaultProfile` to the run.
@@ -165,22 +164,6 @@ class ScenarioBuilder:
                 "clearing deadline budget must be positive"
             )
         self._clearing_deadline = budget_s
-        return self
-
-    def with_market_shards(self, shards: int) -> "ScenarioBuilder":
-        """Partition per-PDU clearing into ``shards`` contiguous groups.
-
-        Sharding never changes a number: traces and invoices stay
-        byte-identical at any shard count (see
-        :mod:`repro.core.sharding`); the knob only controls how the
-        clearing work is decomposed and, with worker processes, where
-        it runs.
-        """
-        if not isinstance(shards, int) or isinstance(shards, bool) or shards < 1:
-            raise ConfigurationError(
-                f"shards must be an integer >= 1, got {shards!r}"
-            )
-        self._shards = shards
         return self
 
     # ------------------------------------------------------------------
@@ -448,7 +431,6 @@ class ScenarioBuilder:
                 "faults": self._faults_spec(),
                 "telemetry": self._telemetry_spec(),
                 "recovery": {"clearing_deadline_s": self._clearing_deadline},
-                "market": {"shards": self._shards},
             }
         )
 
@@ -591,5 +573,4 @@ class ScenarioBuilder:
             clearing_deadline_s=self._clearing_deadline,
             prediction=self._prediction,
             events=self._events,
-            shards=self._shards,
         )

@@ -258,7 +258,6 @@ class SimulationEngine:
         self.degradation = degradation
         self.allocator = allocator or SpotDCAllocator(
             params=MarketParameters(slot_seconds=scenario.slot_seconds),
-            shards=getattr(scenario, "shards", 1),
         )
         # Exactly one forecast-producing code path: every entry point —
         # the legacy spot_predictor arg, a scenario `prediction` block,

@@ -1,11 +1,11 @@
-"""Property-based parity: object-path vs BidFrame-path clearing.
+"""Property-based parity: the BidFrame clear vs the brute-force oracle.
 
 The columnar pipeline (`BidFrame` + breakpoint-sweep demand totals) is
-the default; the object-at-a-time path (``columnar=False``) is the seed
-reference.  Across random facilities — all three bid kinds, uniform and
+checked against ``tests/oracle.py``, a bid-at-a-time transcription of
+Eqs. 1-4.  Across random facilities — all three bid kinds, uniform and
 per-PDU pricing, extra phase/heat constraints — the two must produce
 identical prices and (to float-summation noise) identical grants and
-profit.  Grant extraction is bit-identical by construction (both paths
+profit.  Grant extraction is bit-identical by construction (both sides
 evaluate each bid's own demand at the clearing price), so grants are
 compared with a tight absolute tolerance only to absorb the demand-total
 reordering that may, in principle, shift the scan's feasibility edge.
@@ -22,12 +22,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import MarketParameters
+from repro.core.allocation import AllocationResult
 from repro.core.bids import RackBid
 from repro.core.clearing import MarketClearing
 from repro.core.demand import FullBid, LinearBid, StepBid
-from repro.core.frame import BidFrame
-from repro.core.market import SpotDCAllocator
+from repro.core.frame import KIND_CLOSED, KIND_SAMPLED, BidFrame
 from repro.infrastructure.constraints import CapacityConstraint
+from tests import oracle
 
 PARAMS = MarketParameters(price_step=0.01)
 
@@ -39,10 +40,8 @@ def _watts(upper):
     )
 
 
-def _engines():
-    frame_engine = MarketClearing(params=PARAMS)
-    object_engine = MarketClearing(params=PARAMS, columnar=False)
-    return frame_engine, object_engine
+def _engine():
+    return MarketClearing(params=PARAMS)
 
 
 @st.composite
@@ -113,14 +112,14 @@ def market_instances(draw, constraints=False):
     return bids, pdu_spot, ups_spot, tuple(extra)
 
 
-def _assert_results_match(frame_result, object_result):
-    assert frame_result.price == object_result.price
-    assert frame_result.candidate_prices == object_result.candidate_prices
+def _assert_results_match(frame_result, oracle_result):
+    assert frame_result.price == oracle_result.price
+    assert frame_result.candidate_prices == oracle_result.candidate_prices
     assert frame_result.revenue_rate == pytest.approx(
-        object_result.revenue_rate, abs=1e-9
+        oracle_result.revenue_rate, abs=1e-9
     )
-    assert set(frame_result.grants_w) == set(object_result.grants_w)
-    for rack_id, grant in object_result.grants_w.items():
+    assert set(frame_result.grants_w) == set(oracle_result.grants_w)
+    for rack_id, grant in oracle_result.grants_w.items():
         assert frame_result.grants_w[rack_id] == pytest.approx(
             grant, abs=1e-9
         )
@@ -131,21 +130,33 @@ class TestUniformPricingParity:
     @settings(max_examples=150, deadline=None)
     def test_paths_identical(self, data):
         bids, pdu_spot, ups_spot, _ = data
-        frame_engine, object_engine = _engines()
         _assert_results_match(
-            frame_engine.clear(bids, pdu_spot, ups_spot),
-            object_engine.clear(bids, pdu_spot, ups_spot),
+            _engine().clear(bids, pdu_spot, ups_spot),
+            oracle.clear(bids, pdu_spot, ups_spot, PARAMS),
         )
 
     @given(data=market_instances(constraints=True))
     @settings(max_examples=100, deadline=None)
     def test_paths_identical_with_constraints(self, data):
         bids, pdu_spot, ups_spot, extra = data
-        frame_engine, object_engine = _engines()
         _assert_results_match(
-            frame_engine.clear(bids, pdu_spot, ups_spot, extra),
-            object_engine.clear(bids, pdu_spot, ups_spot, extra),
+            _engine().clear(bids, pdu_spot, ups_spot, extra),
+            oracle.clear(bids, pdu_spot, ups_spot, PARAMS, extra),
         )
+
+    @given(data=market_instances())
+    @settings(max_examples=100, deadline=None)
+    def test_candidate_grid_matches_oracle(self, data):
+        # Breakpoint augmentation and tolerance dedupe, both grid modes.
+        bids = data[0]
+        for breakpoints in (True, False):
+            engine = MarketClearing(
+                params=PARAMS, include_breakpoints=breakpoints
+            )
+            np.testing.assert_array_equal(
+                engine.candidate_prices(bids),
+                oracle.candidate_grid(bids, PARAMS, breakpoints),
+            )
 
     @given(data=market_instances())
     @settings(max_examples=60, deadline=None)
@@ -153,7 +164,7 @@ class TestUniformPricingParity:
         # Clearing a prebuilt frame and letting clear() adapt the object
         # list must be the same computation.
         bids, pdu_spot, ups_spot, _ = data
-        frame_engine, _ = _engines()
+        frame_engine = _engine()
         via_objects = frame_engine.clear(bids, pdu_spot, ups_spot)
         via_frame = frame_engine.clear(
             BidFrame.from_bids(bids), pdu_spot, ups_spot
@@ -168,17 +179,16 @@ class TestPerPduPricingParity:
     @settings(max_examples=100, deadline=None)
     def test_paths_identical(self, data):
         bids, pdu_spot, ups_spot, _ = data
-        frame_engine, object_engine = _engines()
-        frame_result = frame_engine.clear_per_pdu(bids, pdu_spot, ups_spot)
-        object_result = object_engine.clear_per_pdu(bids, pdu_spot, ups_spot)
-        assert frame_result.pdu_prices == object_result.pdu_prices
+        frame_result = _engine().clear_per_pdu(bids, pdu_spot, ups_spot)
+        oracle_result = oracle.clear_per_pdu(bids, pdu_spot, ups_spot, PARAMS)
+        assert frame_result.pdu_prices == oracle_result.pdu_prices
         assert frame_result.price == pytest.approx(
-            object_result.price, abs=1e-9
+            oracle_result.price, abs=1e-9
         )
         assert frame_result.revenue_rate == pytest.approx(
-            object_result.revenue_rate, abs=1e-9
+            oracle_result.revenue_rate, abs=1e-9
         )
-        for rack_id, grant in object_result.grants_w.items():
+        for rack_id, grant in oracle_result.grants_w.items():
             assert frame_result.grants_w[rack_id] == pytest.approx(
                 grant, abs=1e-9
             )
@@ -187,15 +197,14 @@ class TestPerPduPricingParity:
     @settings(max_examples=80, deadline=None)
     def test_paths_identical_with_constraints(self, data):
         bids, pdu_spot, ups_spot, extra = data
-        frame_engine, object_engine = _engines()
-        frame_result = frame_engine.clear_per_pdu(
+        frame_result = _engine().clear_per_pdu(
             bids, pdu_spot, ups_spot, extra
         )
-        object_result = object_engine.clear_per_pdu(
-            bids, pdu_spot, ups_spot, extra
+        oracle_result = oracle.clear_per_pdu(
+            bids, pdu_spot, ups_spot, PARAMS, extra
         )
-        assert frame_result.pdu_prices == object_result.pdu_prices
-        for rack_id, grant in object_result.grants_w.items():
+        assert frame_result.pdu_prices == oracle_result.pdu_prices
+        for rack_id, grant in oracle_result.grants_w.items():
             assert frame_result.grants_w[rack_id] == pytest.approx(
                 grant, abs=1e-9
             )
@@ -256,10 +265,9 @@ class TestSettlementParity:
     @settings(max_examples=80, deadline=None)
     def test_settle_matches_object_billing(self, data):
         bids, pdu_spot, ups_spot, _ = data
-        frame_engine, _ = _engines()
         frame = BidFrame.from_bids(bids)
-        result = frame_engine.clear_per_pdu(frame, pdu_spot, ups_spot)
-        expected = SpotDCAllocator._payments(result, bids, 120.0)
+        result = _engine().clear_per_pdu(frame, pdu_spot, ups_spot)
+        expected = oracle.settle(result, bids, 120.0)
         _, payments = frame.settle(
             result.grants_w, result.pdu_prices, result.price, 120.0
         )
@@ -309,11 +317,67 @@ class TestFrameAdapter:
             rack_cap_w=[b.rack_cap_w for b in bids],
         )
         pdu_spot = {"p0": 90.0, "p1": 70.0}
-        engine, _ = _engines()
+        engine = _engine()
         from_arrays = engine.clear(frame, pdu_spot, 140.0)
         from_objects = engine.clear(bids, pdu_spot, 140.0)
         assert from_arrays.price == from_objects.price
         assert from_arrays.grants_w == from_objects.grants_w
+
+    def test_empty_frames_are_well_formed(self):
+        engine = _engine()
+        for frame in (BidFrame.from_bids([]), BidFrame.from_blocks([])):
+            assert len(frame) == 0
+            assert frame.rack_ids == frame.pdu_ids == frame.tenant_ids == ()
+            assert frame.to_bids() == ()
+            assert frame.pdu_slices() == []
+            assert frame.pdu_code.dtype == frame.tenant_code.dtype == np.intp
+            assert frame.kind.dtype == np.uint8
+            for column in ("d_max_w", "q_min", "d_min_w", "q_max", "rack_cap_w",
+                           "max_demand_w", "floor_w", "breakpoints"):
+                assert getattr(frame, column).shape == (0,)
+            totals, groups = frame.demand_totals(np.array([0.1, 0.2]))
+            assert totals.shape == (0, 2) and groups.shape == (0, 2)
+            empty = AllocationResult.empty()
+            assert engine.clear(frame, {}, 100.0) == empty
+            assert engine.clear_per_pdu(frame, {}, 100.0) == empty
+
+    def test_interleaved_pdus_keep_submission_order(self):
+        bids = [
+            RackBid(f"r{i}", pdu, f"t{i % 3}", LinearBid(30.0 + i, 0.05, 5.0, 0.3), 80.0)
+            for i, pdu in enumerate(["p1", "p0", "p2", "p1", "p0", "p2", "p0"])
+        ]
+        frame = BidFrame.from_bids(bids)
+        expected = sorted(bids, key=lambda b: b.pdu_id)  # stable sort
+        assert frame.pdu_ids == ("p0", "p1", "p2")
+        assert frame.rack_ids == tuple(b.rack_id for b in expected)
+        assert all(a is b for a, b in zip(frame.to_bids(), expected))
+        assert frame.tenant_ids == tuple(dict.fromkeys(b.tenant_id for b in expected))
+        pdu_spot = {"p0": 60.0, "p1": 50.0, "p2": 40.0}
+        _assert_results_match(
+            _engine().clear(frame, pdu_spot, 120.0),
+            oracle.clear(bids, pdu_spot, 120.0, PARAMS),
+        )
+
+    def test_mixed_kinds_encode_per_row(self):
+        bids = [
+            RackBid("r0", "p0", "t0", LinearBid(60.0, 0.05, 10.0, 0.3), 50.0),
+            RackBid("r1", "p1", "t1", StepBid(35.0, 0.2), 100.0),
+            RackBid("r2", "p0", "t0", FullBid([10.0, 30.0], [0.0004, 0.0002]), 25.0),
+            RackBid("r3", "p1", "t2", FullBid([8.0, 20.0], [0.0003, 0.0001], 0.15), 90.0),
+        ]
+        frame = BidFrame.from_bids(bids)
+        for row, bid in enumerate(frame.to_bids()):
+            fn = bid.demand
+            sampled = isinstance(fn, FullBid)
+            assert frame.kind[row] == (KIND_SAMPLED if sampled else KIND_CLOSED)
+            assert frame.q_max[row] == fn.max_price
+            assert frame.max_demand_w[row] == fn.max_demand_w
+            assert frame.floor_w[row] == min(fn.demand_at(fn.max_price), bid.rack_cap_w)
+        pdu_spot = {"p0": 45.0, "p1": 60.0}
+        _assert_results_match(
+            _engine().clear(frame, pdu_spot, 90.0),
+            oracle.clear(bids, pdu_spot, 90.0, PARAMS),
+        )
 
     def test_pdu_slices_partition_frame(self):
         frame = BidFrame.from_bids(self._bids())

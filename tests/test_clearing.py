@@ -9,6 +9,7 @@ from repro.core.bids import RackBid
 from repro.core.clearing import MarketClearing, clear_market
 from repro.core.demand import FullBid, LinearBid, StepBid
 from repro.errors import CapacityError, ClearingError
+from tests import oracle
 
 
 def bid(rack, pdu, demand, cap=1000.0, tenant=None):
@@ -371,7 +372,8 @@ class TestAdmission:
             bid("r2", "p1", StepBid(30.0, 0.25)),
         ]
         frame_result = clear_market(bids, {"p1": 45.0}, 100.0)
-        legacy = MarketClearing(columnar=False)
-        object_result = legacy.clear(bids, {"p1": 45.0}, 100.0)
-        assert frame_result.grants_w == object_result.grants_w
-        assert frame_result.price == object_result.price
+        oracle_result = oracle.clear(
+            bids, {"p1": 45.0}, 100.0, MarketParameters()
+        )
+        assert frame_result.grants_w == oracle_result.grants_w
+        assert frame_result.price == oracle_result.price

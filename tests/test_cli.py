@@ -61,3 +61,25 @@ class TestParser:
     def test_run_requires_target(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run"])
+
+
+class TestSimulateProfile:
+    def _simulate(self, tmp_path, capsys, name, *extra):
+        out = tmp_path / name
+        argv = ["simulate", "--seed", "3", "--slots", "20", "--telemetry",
+                "--telemetry-dir", str(out), *extra]
+        assert main(argv) == 0
+        (trace,) = out.glob("*_trace.jsonl")
+        return capsys.readouterr().out, trace.read_bytes()
+
+    def test_profile_prints_phases_and_keeps_trace(self, tmp_path, capsys):
+        from repro.telemetry.tracing import PHASES
+
+        _, plain = self._simulate(tmp_path, capsys, "plain")
+        printed, profiled = self._simulate(tmp_path, capsys, "profiled", "--profile")
+        lines = printed.splitlines()
+        header = next(i for i, line in enumerate(lines) if line.startswith("phase"))
+        assert [row.split()[0] for row in lines[header + 1:]] == [*PHASES, "slot"]
+        assert len(PHASES) == 6
+        # Profiling runs the engine's own allocator: same trace bytes.
+        assert profiled == plain

@@ -99,6 +99,18 @@ def _population():
     ]
 
 
+def _interleaved_population():
+    """PDUs arriving interleaved in submission order, all three kinds."""
+    return [
+        _bid("s0", "p2", "tA", StepBid(20.0, 0.1)),
+        _bid("s1", "p0", "tB"),
+        _bid("s2", "p2", "tC", FullBid([5.0, 15.0], [0.0003, 0.0001])),
+        _bid("s3", "p1", "tA", LinearBid(70.0, 0.01, 30.0, 0.2)),
+        _bid("s4", "p0", "tC", StepBid(45.0, 0.25)),
+        _bid("s5", "p1", "tB"),
+    ]
+
+
 def _closed_population():
     """Same shape, closed-form (Linear/Step) curves only.
 
@@ -247,18 +259,19 @@ def _apply_mutation(bids, op, rng):
 
 
 @given(
+    start=st.sampled_from([_population, _interleaved_population, list]),
     ops=st.lists(
         st.tuples(
             st.sampled_from(["join", "leave", "modify", "drop_pdu", "noop"]),
             st.integers(min_value=0, max_value=30),
         ),
         max_size=8,
-    )
+    ),
 )
 @settings(max_examples=40, deadline=None)
-def test_incremental_equals_from_scratch_after_any_mutations(ops):
+def test_incremental_equals_from_scratch_after_any_mutations(start, ops):
     builder = IncrementalFrameBuilder()
-    bids = _population()
+    bids = start()
     _assert_frames_identical(builder.build(bids), BidFrame.from_bids(bids))
     for op in ops:
         bids = _apply_mutation(bids, op, None)
@@ -304,14 +317,22 @@ class TestFrameCaches:
 # -- end-to-end: the incremental default changes no bytes --------------
 
 
+class _ColdBuilder:
+    """A fresh IncrementalFrameBuilder every slot: nothing is reused."""
+
+    def build(self, bids):
+        return IncrementalFrameBuilder().build(bids)
+
+
 class TestEndToEnd:
     def _trace_bytes(self, tmp_path, run_id, incremental):
         scenario = build_testbed(seed=7)
         out = tmp_path / str(run_id)
         allocator = SpotDCAllocator(
             params=MarketParameters(slot_seconds=scenario.slot_seconds),
-            incremental=incremental,
         )
+        if not incremental:
+            allocator.frame_builder = _ColdBuilder()
         run_simulation(
             scenario, slots=SLOTS, allocator=allocator,
             telemetry=TelemetryConfig(out_dir=out, label="run"),

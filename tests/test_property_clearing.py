@@ -1,4 +1,9 @@
-"""Property-based tests: market clearing never violates constraints."""
+"""Property-based tests: market clearing never violates constraints.
+
+Outcomes are also held to the brute-force oracle (``tests/oracle.py``):
+the scan must attain the same optimal profit as evaluating Eqs. 1-4 bid
+by bid over the same candidate grid.
+"""
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +16,9 @@ from repro.core.clearing import MarketClearing
 from repro.core.demand import LinearBid, StepBid
 from repro.recovery import QUARANTINE_REASONS, inspect_rack_bid, screen_bids
 from repro.tenants.misbehaving import MalformedBidTenant
+from tests import oracle
+
+PARAMS = MarketParameters(price_step=0.01)
 
 
 @st.composite
@@ -51,9 +59,13 @@ class TestClearingInvariants:
     @settings(max_examples=120, deadline=None)
     def test_outcome_always_verifies(self, data):
         bids, pdu_spot, ups_spot = data
-        engine = MarketClearing(params=MarketParameters(price_step=0.01))
+        engine = MarketClearing(params=PARAMS)
         result = engine.clear(bids, pdu_spot, ups_spot)
         verify_allocation(result, bids, pdu_spot, ups_spot)
+        expected = oracle.clear(bids, pdu_spot, ups_spot, PARAMS)
+        assert result.revenue_rate == pytest.approx(
+            expected.revenue_rate, abs=1e-9
+        )
 
     @given(data=bid_sets())
     @settings(max_examples=120, deadline=None)
@@ -116,10 +128,14 @@ class TestClearingInvariants:
     @settings(max_examples=60, deadline=None)
     def test_per_pdu_clearing_verifies(self, data):
         bids, pdu_spot, ups_spot = data
-        engine = MarketClearing(params=MarketParameters(price_step=0.01))
+        engine = MarketClearing(params=PARAMS)
         result = engine.clear_per_pdu(bids, pdu_spot, ups_spot)
         verify_allocation(result, bids, pdu_spot, ups_spot)
         assert result.total_granted_w <= ups_spot + 1e-6
+        expected = oracle.clear_per_pdu(bids, pdu_spot, ups_spot, PARAMS)
+        assert result.revenue_rate == pytest.approx(
+            expected.revenue_rate, abs=1e-9
+        )
 
     @given(data=bid_sets())
     @settings(max_examples=40, deadline=None)
@@ -203,9 +219,13 @@ class TestDegenerateBids:
     @settings(max_examples=100, deadline=None)
     def test_clearing_survives_degenerate_bids(self, data):
         bids, pdu_spot, ups_spot = data
-        engine = MarketClearing(params=MarketParameters(price_step=0.01))
+        engine = MarketClearing(params=PARAMS)
         result = engine.clear(bids, pdu_spot, ups_spot)
         verify_allocation(result, bids, pdu_spot, ups_spot)
+        expected = oracle.clear(bids, pdu_spot, ups_spot, PARAMS)
+        assert result.revenue_rate == pytest.approx(
+            expected.revenue_rate, abs=1e-9
+        )
 
 
 @st.composite

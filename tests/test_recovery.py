@@ -172,21 +172,39 @@ class TestCheckpointEnvelope:
         with pytest.raises(RecoveryError, match="not a SpotDC checkpoint"):
             load_checkpoint(path)
 
-    def test_format_mismatch_raises(self, tmp_path):
-        path = tmp_path / "old.pkl"
-        path.write_bytes(
-            pickle.dumps(
+    def test_format_mismatch_raises(self, tmp_path, monkeypatch):
+        from repro.core import sharding
+
+        def envelope(version, engine):
+            return pickle.dumps(
                 {
                     "magic": "spotdc-checkpoint",
-                    "format": -1,
+                    "format": version,
                     "slot": 3,
                     "horizon": 10,
-                    "engine": None,
+                    "engine": engine,
                 }
             )
-        )
-        with pytest.raises(RecoveryError, match="format"):
-            load_checkpoint(path)
+
+        # A format-2 file pickles its engine inline, and that engine can
+        # reference code this build no longer has; the version check
+        # must refuse the file before any of it is unpickled.
+        def removed(*args):
+            raise AssertionError("never called")
+
+        removed.__module__, removed.__qualname__ = sharding.__name__, "removed"
+        monkeypatch.setattr(sharding, "removed", removed, raising=False)
+        format2 = envelope(2, removed)
+        monkeypatch.undo()
+        with pytest.raises(AttributeError):
+            pickle.loads(format2)
+
+        for name, data in (("old", envelope(-1, None)), ("v2", format2)):
+            path = tmp_path / f"{name}.pkl"
+            path.write_bytes(data)
+            with pytest.raises(RecoveryError, match="has format") as exc:
+                load_checkpoint(path)
+            assert str(path) in str(exc.value)
 
     def test_horizon_mismatch_raises(self, tmp_path):
         engine = SimulationEngine(build_testbed(seed=1))
