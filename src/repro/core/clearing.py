@@ -14,12 +14,19 @@ Implementation notes:
 
 * The pipeline is **columnar**: bids are viewed through a
   :class:`~repro.core.frame.BidFrame` (built once per slot; a
-  ``RackBid`` sequence is encoded into one at entry), per-PDU demand
-  totals are a breakpoint sweep over the PDU-sorted rows, and grants
-  are extracted as one demand-vector evaluation at the clearing price.
-  Clearing cost stays in ndarray time, which is what makes
-  15,000-rack scans fast (Fig. 7b).  The parity oracle — a brute-force
-  transcription of Eqs. 1-4 — lives in ``tests/oracle.py``.
+  ``RackBid`` sequence is encoded into one at entry).  Uniform and
+  locational (per-PDU) pricing run **one segmented scan kernel**: a
+  *market* is a run of frame rows sharing one price grid — the whole
+  frame, or one PDU segment — and every market of a frame clears in a
+  fixed number of ndarray passes whatever the PDU count: the grids of
+  all markets are built in one merge, demand totals are one breakpoint
+  sweep over a ``(aggregates x prices)`` block, feasibility and the
+  revenue argmax run row-wise, and grants are one demand evaluation at
+  every row's market price.  Blocks are swept in chunks of whole
+  markets, so scratch memory stays bounded at any fleet size.  Clearing
+  cost stays in ndarray time, which is what makes 15,000-rack scans
+  fast (Fig. 7b).  The parity oracle — a brute-force transcription of
+  Eqs. 1-4 — lives in ``tests/oracle.py``.
 * Grid resolution is the operator knob ``price_step`` (the paper reports
   clearing times at 0.1 and 1 cent/kW steps).  The scan optionally
   augments the grid with each bid's breakpoints (``q_min``/``q_max``) so
@@ -31,6 +38,7 @@ Implementation notes:
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import typing
 from collections.abc import Mapping, Sequence
 
@@ -39,7 +47,7 @@ import numpy as np
 from repro.config import MarketParameters
 from repro.core.allocation import AllocationResult
 from repro.core.bids import RackBid
-from repro.core.frame import BidFrame
+from repro.core.frame import BidFrame, padded_grids
 from repro.errors import ClearingError
 
 if typing.TYPE_CHECKING:
@@ -50,39 +58,8 @@ __all__ = ["MarketClearing", "clear_market", "reconcile_allocation"]
 #: Feasibility slack for float comparisons against capacity bounds.
 _TOL = 1e-9
 
-
-def _base_grid(lo: float, hi: float, step: float) -> np.ndarray:
-    """The fixed-step scan grid over ``[lo, hi]``, overshoot-free.
-
-    ``np.arange(lo, hi + step, step)`` can overshoot ``hi`` by a whole
-    extra element under float error; counting the steps explicitly keeps
-    the last grid point at ``hi`` (up to epsilon).
-    """
-    if hi < lo:
-        return np.array([lo])
-    n = int(np.floor((hi - lo) / step * (1.0 + 1e-12) + 1e-9)) + 1
-    return lo + step * np.arange(n)
-
-
-def _augment_grid(
-    grid: np.ndarray, points: np.ndarray, lo: float, hi: float, step: float
-) -> np.ndarray:
-    """Merge bid breakpoints into the grid, deduplicating with tolerance.
-
-    Breakpoints that land within float epsilon of an existing grid point
-    would otherwise survive ``np.unique`` as distinct candidates; merged
-    values within ``step * 1e-9`` collapse onto the *smaller* one, which
-    at a ``q_max`` kink is the breakpoint itself (keeping the kink's
-    revenue in the scan).
-    """
-    points = points[(points >= lo) & (points <= hi)]
-    if points.size == 0:
-        return grid
-    merged = np.unique(np.concatenate([grid, points]))
-    keep = np.empty(merged.size, dtype=bool)
-    keep[0] = True
-    np.greater(np.diff(merged), step * 1e-9, out=keep[1:])
-    return merged[keep]
+#: Scratch budget of one scan chunk, in (aggregate x price) cells.
+_CHUNK_CELLS = 1 << 13
 
 
 @dataclasses.dataclass
@@ -103,32 +80,18 @@ class MarketClearing:
     def candidate_prices(
         self, bids: "Sequence[RackBid] | BidFrame"
     ) -> np.ndarray:
-        """The ascending price grid the scan will evaluate."""
+        """The ascending price grid the uniform scan will evaluate."""
         frame = bids if isinstance(bids, BidFrame) else BidFrame.from_bids(bids)
-        lo = self.params.reserve_price
-        hi = self.params.max_price
-        # No bid demands anything above the highest acceptable price, so
-        # scanning beyond it only wastes work.
-        if len(frame):
-            hi = min(hi, frame.max_acceptable_price())
-        # Frames are immutable once built, so a grid computed for one
-        # (bounds, step, breakpoints-mode) tuple stays valid for the
-        # frame's whole lifetime.  The incremental builder hands the
-        # engine the *same frame object* on unchanged-bid slots, turning
-        # the per-slot grid rebuild into a dict hit.
-        key = (lo, hi, self.params.price_step, self.include_breakpoints)
-        cache = frame._grid_cache
-        if cache is None:
-            cache = frame._grid_cache = {}
-        grid = cache.get(key)
-        if grid is None:
-            grid = _base_grid(lo, hi, self.params.price_step)
-            if self.include_breakpoints and len(frame):
-                grid = _augment_grid(
-                    grid, frame.breakpoints, lo, hi, self.params.price_step
-                )
-            cache[key] = grid
-        return grid
+        return self._grid(frame, per_pdu=False)[0]
+
+    def _grid(self, frame: BidFrame, per_pdu: bool) -> tuple[np.ndarray, np.ndarray]:
+        return frame.market_grid(
+            per_pdu,
+            self.params.reserve_price,
+            self.params.max_price,
+            self.params.price_step,
+            self.include_breakpoints,
+        )
 
     # ------------------------------------------------------------------
     # Facility-wide uniform price
@@ -165,9 +128,20 @@ class MarketClearing:
         self._validate_capacities(pdu_spot_w, ups_spot_w, extra_constraints)
         if not len(bids):
             return AllocationResult.empty()
-        if not isinstance(bids, BidFrame):
-            bids = BidFrame.from_bids(bids)
-        return self._clear_frame(bids, pdu_spot_w, ups_spot_w, extra_constraints)
+        frame = bids if isinstance(bids, BidFrame) else BidFrame.from_bids(bids)
+        _, seg_codes = frame.segments()
+        pdu_caps = np.array(
+            [pdu_spot_w.get(frame.pdu_ids[int(s)], 0.0) for s in seg_codes]
+        )
+        groups = [(0, frame.rows_for(c.rack_ids), c.cap_w) for c in extra_constraints]
+        scan = self._scan(frame, False, pdu_caps, np.array([ups_spot_w]), groups)
+        return AllocationResult(
+            price=float(scan.price[0]),
+            grants_w=scan.grants,
+            revenue_rate=float(scan.revenue[0]),
+            candidate_prices=int(scan.candidates[0]),
+            feasible_prices=int(scan.feasible[0]),
+        )
 
     @staticmethod
     def _validate_capacities(
@@ -186,90 +160,139 @@ class MarketClearing:
                     f"negative capacity for constraint {constraint.name}"
                 )
 
-    def _clear_frame(
+    def _scan(
         self,
         frame: BidFrame,
-        pdu_spot_w: Mapping[str, float],
-        ups_spot_w: float,
-        extra_constraints: Sequence["CapacityConstraint"],
-    ) -> AllocationResult:
-        prices = self.candidate_prices(frame)
-        pdu_caps = np.array([pdu_spot_w.get(p, 0.0) for p in frame.pdu_ids])
+        per_pdu: bool,
+        pdu_caps: np.ndarray,
+        market_caps: np.ndarray,
+        groups: "Sequence[tuple[int, np.ndarray, float]]",
+    ) -> "_Scan":
+        """Clear every market of ``frame`` in one segmented scan.
 
-        # Bid admission (vectorised): a bid whose demand exceeds the
-        # per-grant ceiling min(rack headroom, PDU spot, UPS spot) at
-        # EVERY acceptable price can never be satisfied; reject up front
-        # so one hopeless bid does not blank the whole market.
-        ceiling = np.minimum(frame.rack_cap_w, pdu_caps[frame.pdu_code])
-        np.minimum(ceiling, ups_spot_w, out=ceiling)
-        for constraint in extra_constraints:
-            rows = frame.rows_for(constraint.rack_ids)
-            if rows.size:
-                ceiling[rows] = np.minimum(ceiling[rows], constraint.cap_w)
+        Markets are the PDU segments (``per_pdu``) or the whole frame.
+        ``pdu_caps`` bounds each segment's total (Eq. 3), ``market_caps``
+        each market's total (Eq. 4: the UPS, or one PDU's apportioned
+        share), and each ``(market, rows, cap)`` group the total of its
+        member rows.  Per market: bid admission, the demand sweep over
+        the market's grid, feasibility, and the lowest price attaining
+        the maximum revenue; then one grant evaluation at every row's
+        market price.  Markets are swept in chunks so no scratch block
+        exceeds ``_CHUNK_CELLS``.
+        """
+        prices, grid_starts = self._grid(frame, per_pdu)
+        seg = frame.segment_of_row()
+        n_seg, n_markets = pdu_caps.size, market_caps.size
+        market = seg if per_pdu else np.zeros(len(frame), dtype=np.intp)
+
+        # Bid admission: a bid whose demand exceeds the per-grant ceiling
+        # min(rack headroom, PDU spot, market spot, group caps) at EVERY
+        # acceptable price can never be satisfied; reject it up front so
+        # one hopeless bid does not blank its whole market.
+        ceiling = np.minimum(frame.rack_cap_w, pdu_caps[seg])
+        np.minimum(ceiling, market_caps[market], out=ceiling)
+        group_rows = [rows for _, rows, _ in groups]
+        if groups:
+            np.minimum.at(
+                ceiling,
+                np.concatenate(group_rows),
+                np.repeat([cap for *_, cap in groups], [r.size for r in group_rows]),
+            )
         rejected = frame.floor_w > ceiling + _TOL
-        if rejected.all():
-            # Priced out, not silent: every rejected rack still appears
-            # with a zero grant.
-            return AllocationResult(
-                price=float(prices[-1]) + self.params.price_step,
-                grants_w={rid: 0.0 for rid in frame.rack_ids},
-                revenue_rate=0.0,
-                candidate_prices=int(prices.size),
-                feasible_prices=0,
-            )
-        if rejected.any():
-            rejected_ids = [
-                frame.rack_ids[int(i)] for i in np.flatnonzero(rejected)
+
+        # Aggregates ordered by market, each market's PDUs before its
+        # groups: a per-PDU market holds one PDU, the uniform one all.
+        owner = np.concatenate(
+            [
+                np.arange(n_seg) if per_pdu else np.zeros(n_seg, dtype=np.intp),
+                np.array([m for m, *_ in groups], dtype=np.intp),
             ]
-            admitted = frame.select(np.flatnonzero(~rejected))
-        else:
-            rejected_ids = []
-            admitted = frame
-
-        # Demand accumulation: a breakpoint sweep over the price grid —
-        # O(n log P) scatter + one cumsum per aggregate — instead of
-        # materialising the (n_bids, n_prices) demand matrix (see
-        # BidFrame.demand_totals).  Constraint groups accumulate
-        # alongside the per-PDU totals.
-        extra_caps = np.array([c.cap_w for c in extra_constraints])
-        member_rows = [admitted.rows_for(c.rack_ids) for c in extra_constraints]
-        pdu_demand, extra_demand = admitted.demand_totals(prices, member_rows)
-        total_demand = pdu_demand.sum(axis=0)
-
-        feasible = (total_demand <= ups_spot_w + _TOL) & np.all(
-            pdu_demand <= pdu_caps[:, None] + _TOL, axis=0
         )
-        if extra_constraints:
-            feasible &= np.all(
-                extra_demand <= extra_caps[:, None] + _TOL, axis=0
-            )
-        n_feasible = int(feasible.sum())
-        if n_feasible == 0:
-            # The scan grid ends at the highest acceptable bid price where
-            # demand may still be positive; above it demand is zero, which
-            # is always feasible.  Profit there is zero.
-            return AllocationResult.empty(
-                price=float(prices[-1]) + self.params.price_step
-            )
+        order = np.argsort(2 * owner + (np.arange(owner.size) >= n_seg), kind="stable")
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        agg_market = owner[order]
+        agg_cap = np.concatenate([pdu_caps, [cap for *_, cap in groups]])[order]
+        agg_starts = np.searchsorted(agg_market, np.arange(n_markets + 1))
+        # Memberships of admitted rows, frame row order within each.
+        admitted = np.flatnonzero(~rejected)
+        members = [rows[~rejected[rows]] for rows in group_rows]
+        entry_row = np.concatenate([admitted, *members])
+        entry_agg = np.concatenate(
+            [rank[seg[admitted]]]
+            + [np.full(r.size, rank[n_seg + k]) for k, r in enumerate(members)]
+        )
+        order = np.argsort(entry_agg, kind="stable")
+        entry_row, entry_agg = entry_row[order], entry_agg[order]
 
-        revenue_rate = prices * total_demand / 1000.0  # $/h
-        revenue_rate = np.where(feasible, revenue_rate, -np.inf)
-        best = int(np.argmax(revenue_rate))  # argmax returns lowest index on ties
-        best_price = float(prices[best])
+        best_price = np.empty(n_markets)
+        best_revenue = np.empty(n_markets)
+        n_feasible = np.empty(n_markets, dtype=np.intp)
+        for m0, m1 in _chunks(np.diff(agg_starts), np.diff(grid_starts)):
+            a0, a1 = agg_starts[m0], agg_starts[m1]
+            e0, e1 = np.searchsorted(entry_agg, [a0, a1])
+            starts = grid_starts[m0 : m1 + 1] - grid_starts[m0]
+            local = prices[grid_starts[m0] : grid_starts[m1]]
+            demand = frame.market_demand(
+                local, starts, agg_market[a0:a1] - m0,
+                entry_agg[e0:e1] - a0, entry_row[e0:e1],
+            )
+            grid = padded_grids(local, starts)
+            first = agg_starts[m0:m1] - a0
+            ok = np.logical_and.reduceat(
+                demand <= agg_cap[a0:a1, None] + _TOL, first, axis=0
+            )
+            # Market totals: a per-PDU market's one PDU row, or the
+            # uniform market's PDU rows summed in PDU order.
+            total = (
+                demand[first]
+                if per_pdu
+                else demand[:n_seg].sum(axis=0, keepdims=True)
+            )
+            feasible = (
+                ok
+                & (total <= market_caps[m0:m1, None] + _TOL)
+                & (np.arange(grid.shape[1]) < np.diff(starts)[:, None])
+            )
+            revenue = np.where(feasible, grid * total / 1000.0, -np.inf)  # $/h
+            best = revenue.argmax(axis=1)  # lowest index wins ties
+            pick = np.arange(m1 - m0)
+            best_price[m0:m1] = grid[pick, best]
+            best_revenue[m0:m1] = revenue[pick, best]
+            n_feasible[m0:m1] = feasible.sum(axis=1)
 
-        # Grant extraction: one demand-vector evaluation at the clearing
-        # price, zipped straight into the result.
-        granted = admitted.demand_at(best_price)
-        grants = dict(zip(admitted.rack_ids, granted.tolist()))
-        # Rejected bids appear with a zero grant (priced out, not silent).
-        for rack_id in rejected_ids:
-            grants[rack_id] = 0.0
-        return AllocationResult(
-            price=best_price,
-            grants_w=grants,
-            revenue_rate=float(max(revenue_rate[best], 0.0)),
-            candidate_prices=int(prices.size),
-            feasible_prices=n_feasible,
+        # A market with every bid rejected is priced out, not silent:
+        # its racks appear with zero grants.  A market with no feasible
+        # price clears nothing; the scan ends at the highest acceptable
+        # price, and one step above it demand is zero (always feasible,
+        # zero profit).
+        all_rejected = np.logical_and.reduceat(
+            rejected, frame.market_starts(per_pdu)[:-1]
+        )
+        cleared = (n_feasible > 0) & ~all_rejected
+        listed = cleared | all_rejected
+        sizes = np.diff(grid_starts)
+        price = np.where(
+            cleared, best_price, prices[grid_starts[1:] - 1] + self.params.price_step
+        )
+        granted = np.where(
+            cleared[market] & ~rejected, frame.demand_at(price[market]), 0.0
+        )
+        # Per market: admitted racks in row order, then rejected ones.
+        rows = listed[market]
+        if rejected.any():
+            rows = np.flatnonzero(rows)
+            rows = rows[np.lexsort((rows, rejected[rows], market[rows]))]
+            racks = [frame.rack_ids[i] for i in rows.tolist()]
+        else:
+            racks = itertools.compress(frame.rack_ids, rows.tolist())
+        return _Scan(
+            price=price,
+            revenue=np.where(cleared & ~(best_revenue < 0.0), best_revenue, 0.0),
+            candidates=np.where(listed, sizes, 0),
+            feasible=np.where(cleared, n_feasible, 0),
+            granted=granted,
+            grants=dict(zip(racks, granted[rows].tolist())),
         )
 
     # ------------------------------------------------------------------
@@ -313,10 +336,41 @@ class MarketClearing:
             raise ClearingError(f"negative UPS spot capacity {ups_spot_w}")
         if not len(bids):
             return AllocationResult.empty()
-        if not isinstance(bids, BidFrame):
-            bids = BidFrame.from_bids(bids)
-        return self._clear_per_pdu_frame(
-            bids, pdu_spot_w, ups_spot_w, extra_constraints
+        frame = bids if isinstance(bids, BidFrame) else BidFrame.from_bids(bids)
+        caps, servable = self._apportion_pdu_caps(frame, pdu_spot_w, ups_spot_w)
+        scan = self._scan(
+            frame,
+            True,
+            caps,
+            caps,
+            _localize_constraints(frame, extra_constraints, servable),
+        )
+        _, seg_codes = frame.segments()
+        revenue_rate = 0.0
+        for rate in scan.revenue.tolist():  # sequential, in PDU order
+            revenue_rate += rate
+        granted = scan.granted
+        total = float(granted.sum())
+        headline = (
+            float((scan.price[frame.segment_of_row()] * granted).sum()) / total
+            if total > 0
+            else 0.0
+        )
+        combined = AllocationResult(
+            price=headline,
+            grants_w=scan.grants,
+            revenue_rate=revenue_rate,
+            candidate_prices=int(scan.candidates.sum()),
+            feasible_prices=int(scan.feasible.sum()),
+            pdu_prices=dict(
+                zip(
+                    (frame.pdu_ids[s] for s in seg_codes.tolist()),
+                    scan.price.tolist(),
+                )
+            ),
+        )
+        return reconcile_allocation(
+            combined, frame, pdu_spot_w, ups_spot_w, granted=granted
         )
 
     def _apportion_pdu_caps(
@@ -324,23 +378,17 @@ class MarketClearing:
         frame: BidFrame,
         pdu_spot_w: Mapping[str, float],
         ups_spot_w: float,
-        extra_constraints: Sequence["CapacityConstraint"],
-    ) -> tuple[list[float], dict[str, float]]:
-        """Per-PDU spot caps after apportioning the UPS headroom.
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Per-segment spot caps after apportioning the UPS headroom.
 
-        Returns the caps in :meth:`BidFrame.pdu_slices` order, plus the
-        rack → servable-demand map shared with
+        Returns the caps in :meth:`BidFrame.segments` order, plus each
+        row's servable demand ``min(max demand, rack cap)`` shared with
         :func:`_localize_constraints`.  Apportioning by servable
         interest guarantees the caps sum to at most ``ups_spot_w``
         whenever total interest exceeds it (Eq. 4 by construction) —
         why :func:`reconcile_allocation` is a no-op on this path.
         """
         servable = np.minimum(frame.max_demand_w, frame.rack_cap_w)
-        max_demand = (
-            {rid: float(v) for rid, v in zip(frame.rack_ids, servable)}
-            if extra_constraints
-            else {}
-        )
         starts, seg_codes = frame.segments()
         local_interest = np.add.reduceat(servable, starts)
         interest = {
@@ -359,101 +407,71 @@ class MarketClearing:
                     local_cap, ups_spot_w * interest[pdu_id] / total_interest
                 )
             caps.append(local_cap)
-        return caps, max_demand
+        return np.array(caps), servable
 
-    def _clear_per_pdu_frame(
-        self,
-        frame: BidFrame,
-        pdu_spot_w: Mapping[str, float],
-        ups_spot_w: float,
-        extra_constraints: Sequence["CapacityConstraint"],
-    ) -> AllocationResult:
-        caps, max_demand = self._apportion_pdu_caps(
-            frame, pdu_spot_w, ups_spot_w, extra_constraints
-        )
-        grants: dict[str, float] = {}
-        pdu_prices: dict[str, float] = {}
-        revenue_rate = 0.0
-        candidates = 0
-        feasible = 0
-        for (pdu_id, sub), local_cap in zip(frame.pdu_slices(), caps):
-            local_constraints = (
-                _localize_constraints(
-                    extra_constraints, set(sub.rack_ids), max_demand
-                )
-                if extra_constraints
-                else ()
-            )
-            local = self._clear_frame(
-                sub, {pdu_id: local_cap}, local_cap, local_constraints
-            )
-            grants.update(local.grants_w)
-            pdu_prices[pdu_id] = local.price
-            revenue_rate += local.revenue_rate
-            candidates += local.candidate_prices
-            feasible += local.feasible_prices
+class _Scan(typing.NamedTuple):
+    """Per-market outcomes of one segmented scan, plus the row grants."""
 
-        granted = np.fromiter(
-            (grants.get(rid, 0.0) for rid in frame.rack_ids),
-            dtype=float,
-            count=len(frame),
-        )
-        total = float(granted.sum())
-        if total > 0:
-            row_prices = np.fromiter(
-                (pdu_prices[p] for p in frame.pdu_ids),
-                dtype=float,
-                count=len(frame.pdu_ids),
-            )[frame.pdu_code]
-            headline = float((row_prices * granted).sum()) / total
-        else:
-            headline = 0.0
-        combined = AllocationResult(
-            price=headline,
-            grants_w=grants,
-            revenue_rate=revenue_rate,
-            candidate_prices=candidates,
-            feasible_prices=feasible,
-            pdu_prices=pdu_prices,
-        )
-        return reconcile_allocation(combined, frame, pdu_spot_w, ups_spot_w)
+    price: np.ndarray
+    revenue: np.ndarray
+    candidates: np.ndarray
+    feasible: np.ndarray
+    granted: np.ndarray
+    grants: dict[str, float]
+
+
+def _chunks(aggregates: np.ndarray, sizes: np.ndarray):
+    """Runs of whole markets whose sweep block fits ``_CHUNK_CELLS``.
+
+    A chunk's block is (its aggregates) x (its longest grid); a market
+    larger than the budget on its own is swept alone.
+    """
+    start, rows, width = 0, 0, 0
+    for m, (count, size) in enumerate(zip(aggregates.tolist(), sizes.tolist())):
+        if m > start and (rows + count) * max(width, size) > _CHUNK_CELLS:
+            yield start, m
+            start, rows, width = m, 0, 0
+        rows += count
+        width = max(width, size)
+    yield start, len(sizes)
+
+
+def _row_order_sum(values: np.ndarray) -> float:
+    """Sequential float sum in array order (no pairwise reordering)."""
+    return float(np.add.accumulate(values)[-1])
 
 
 def _localize_constraints(
+    frame: BidFrame,
     extra_constraints: Sequence["CapacityConstraint"],
-    local_ids: set[str],
-    max_demand: Mapping[str, float],
-):
-    """Restrict rack-set constraints to one PDU's local market.
+    servable: np.ndarray,
+) -> list[tuple[int, np.ndarray, float]]:
+    """Restrict rack-set constraints to the per-PDU markets they touch.
 
-    Phase-balance constraints live within a single PDU, so they localize
-    exactly.  A heat zone spanning several PDUs is apportioned by local
-    maximum-demand share — a conservative decomposition (the per-PDU
-    shares always sum to at most the zone cap).
+    Returns one ``(segment, rows, cap)`` group per constraint and PDU
+    segment holding its racks.  Phase-balance constraints live within a
+    single PDU, so they localize exactly.  A heat zone spanning several
+    PDUs is apportioned by servable-demand share — a conservative
+    decomposition (the per-PDU shares always sum to at most the zone
+    cap).  Shares sum in frame row order, so the caps do not depend on
+    set iteration order (and hence not on the hash seed).
     """
-    from repro.infrastructure.constraints import CapacityConstraint
-
-    localized = []
+    seg = frame.segment_of_row()
+    groups = []
     for constraint in extra_constraints:
-        members_here = constraint.rack_ids & local_ids
-        if not members_here:
+        rows = frame.rows_for(constraint.rack_ids)
+        if not rows.size:
             continue
-        total = sum(
-            max_demand.get(rack_id, 0.0) for rack_id in constraint.rack_ids
-        )
-        here = sum(max_demand.get(rack_id, 0.0) for rack_id in members_here)
-        if constraint.rack_ids <= local_ids or total <= 0:
-            cap = constraint.cap_w
-        else:
-            cap = constraint.cap_w * here / total
-        localized.append(
-            CapacityConstraint(
-                name=constraint.name,
-                rack_ids=frozenset(members_here),
-                cap_w=cap,
-            )
-        )
-    return localized
+        runs = np.split(rows, np.flatnonzero(np.diff(seg[rows])) + 1)
+        whole = len(runs) == 1 and rows.size == len(constraint.rack_ids)
+        total = _row_order_sum(servable[rows])
+        for run in runs:
+            if whole or total <= 0:
+                cap = constraint.cap_w
+            else:
+                cap = constraint.cap_w * _row_order_sum(servable[run]) / total
+            groups.append((int(seg[run[0]]), run, cap))
+    return groups
 
 
 def reconcile_allocation(
@@ -462,6 +480,8 @@ def reconcile_allocation(
     pdu_spot_w: Mapping[str, float],
     ups_spot_w: float,
     tolerance_w: float = 1e-6,
+    *,
+    granted: np.ndarray | None = None,
 ) -> AllocationResult:
     """Shrink-only fix-up of a merged allocation against Eqs. 3-4.
 
@@ -475,11 +495,12 @@ def reconcile_allocation(
     surviving grants.  Grants only ever shrink, so rack caps (Eq. 2)
     stay satisfied and the clamps enforce Eqs. 3-4 directly.
     """
-    granted = np.fromiter(
-        (result.grants_w.get(rid, 0.0) for rid in frame.rack_ids),
-        dtype=float,
-        count=len(frame),
-    )
+    if granted is None:
+        granted = np.fromiter(
+            (result.grants_w.get(rid, 0.0) for rid in frame.rack_ids),
+            dtype=float,
+            count=len(frame),
+        )
     starts, seg_codes = frame.segments()
     totals = np.add.reduceat(granted, starts)
     caps = np.fromiter(

@@ -334,7 +334,8 @@ def demand_matrix(
         d_max_w / q_min / d_min_w / q_max: Piece-wise linear parameters,
             one entry per bid row (values for sampled rows are ignored).
         rack_cap_w: Physical rack headroom per row; clips every demand.
-        prices: Ascending price grid, shape ``(n_prices,)``.
+        prices: Ascending price grid, shape ``(n_prices,)`` — or one
+            price per row, shape ``(n_bids, 1)``.
         sampled_rows: Row indices evaluated through ``sampled_demands``.
         sampled_demands: Demand objects aligned with ``sampled_rows``.
         out: Optional preallocated ``(n_bids, n_prices)`` output buffer —
@@ -345,8 +346,9 @@ def demand_matrix(
     """
     n = d_max_w.shape[0]
     prices = np.asarray(prices, dtype=float)
+    grid = prices[None, :] if prices.ndim == 1 else prices
     if out is None:
-        out = np.empty((n, prices.size))
+        out = np.empty((n, grid.shape[1]))
     span = q_max - q_min
     degenerate = span <= 0
     # Mirrors LinearBid.demand_grid / the legacy vectorised path step for
@@ -354,16 +356,17 @@ def demand_matrix(
     # produce bit-identical per-bid demand.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         frac = np.clip(
-            (prices[None, :] - q_min[:, None])
+            (grid - q_min[:, None])
             / np.where(degenerate, 1.0, span)[:, None],
             0.0,
             1.0,
         )
     demand = d_max_w[:, None] + frac * (d_min_w - d_max_w)[:, None]
     demand = np.where(degenerate[:, None], d_max_w[:, None], demand)
-    demand = np.where(prices[None, :] <= q_max[:, None], demand, 0.0)
+    demand = np.where(grid <= q_max[:, None], demand, 0.0)
     np.minimum(demand, rack_cap_w[:, None], out=out)
     if sampled_rows is not None and sampled_rows.size:
         for row, fn in zip(sampled_rows, sampled_demands):
-            np.minimum(fn.demand_grid(prices), rack_cap_w[row], out=out[row])
+            row_prices = grid[row if len(grid) > 1 else 0]
+            np.minimum(fn.demand_grid(row_prices), rack_cap_w[row], out=out[row])
     return out

@@ -13,10 +13,11 @@ second at a 0.1 ¢/kW price step).
 Design points:
 
 * **Rows are sorted by PDU** (stably, preserving submission order within
-  a PDU), so per-PDU demand totals are contiguous segment sums
-  (``np.add.reduceat``) rather than scattered ``np.add.at`` updates, and
-  per-PDU locational clearing slices the frame instead of regrouping
-  objects.
+  a PDU), so each PDU is a contiguous row segment: per-PDU sums are
+  ``np.add.reduceat`` calls, and per-PDU locational clearing treats each
+  segment as one *market* of the segmented scan
+  (:meth:`BidFrame.market_grid`, :meth:`BidFrame.market_demand`) instead
+  of regrouping objects.
 * **The object API stays**: :meth:`BidFrame.from_bids` /
   :meth:`BidFrame.to_bids` form a thin adapter, so tenants, enforcement,
   faults, and settlement keep speaking :class:`RackBid`.
@@ -83,6 +84,60 @@ KIND_CLOSED = 0
 KIND_SAMPLED = 1
 
 
+def _pairs(market: np.ndarray, price: np.ndarray) -> np.ndarray:
+    """``(market, price)`` keys as complex numbers, which numpy orders
+    lexicographically — one ``searchsorted`` spans every market.
+
+    Built component-wise: ``market + 1j * price`` turns an infinite
+    price into ``nan + inf j``.
+    """
+    keys = np.empty(np.shape(price), dtype=complex)
+    keys.real = market
+    keys.imag = price
+    return keys
+
+
+def padded_grids(prices: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Concatenated market grids as a ``(markets, longest)`` matrix.
+
+    Cells past a market's own grid repeat its last price; callers mask
+    or ignore them.
+    """
+    sizes = np.diff(starts)
+    cols = np.arange(int(sizes.max()) if sizes.size else 0)
+    return prices[starts[:-1, None] + np.minimum(cols, sizes[:, None] - 1)]
+
+
+def _merge_points(prices, starts, longest, point_market, points, step):
+    """Merge breakpoints into per-market grids (see ``market_grid``).
+
+    Every market's plain grid is a prefix of ``longest``, so one
+    ``searchsorted`` places all points, and ``np.insert`` keeps points
+    bound for the same slot in ascending order.  Exact duplicates go
+    first (as ``np.unique`` would), then the tolerance dedupe — both
+    only in markets that received points.
+    """
+    order = np.lexsort((points, point_market))
+    point_market, points = point_market[order], points[order]
+    size = np.diff(starts)
+    at = starts[point_market] + np.minimum(
+        np.searchsorted(longest, points), size[point_market]
+    )
+    prices = np.insert(prices, at, points)
+    added = np.bincount(point_market, minlength=size.size)
+    size = size + added
+    plain = np.repeat(added == 0, size)
+    for tolerance in (0.0, step * 1e-9):
+        starts = np.concatenate([[0], np.cumsum(size)])
+        keep = np.ones(prices.size, dtype=bool)
+        np.greater(np.diff(prices), tolerance, out=keep[1:])
+        keep[starts[:-1]] = True
+        keep |= plain
+        prices, plain = prices[keep], plain[keep]
+        size = np.add.reduceat(keep, starts[:-1], dtype=np.intp)
+    return prices, np.concatenate([[0], np.cumsum(size)])
+
+
 def group_by_pdu(bids: Iterable[RackBid]) -> dict[str, list[RackBid]]:
     """Bids grouped by PDU id, submission order kept within each PDU."""
     groups: dict[str, list[RackBid]] = {}
@@ -114,7 +169,6 @@ class PduBlock:
         "rack_cap_w",
         "max_demand_w",
         "floor_w",
-        "breakpoints",
         "demands",
     )
 
@@ -138,7 +192,6 @@ class PduBlock:
         max_demand = np.empty(n)
         floor = np.empty(n)
         demands: list[DemandFunction | None] = []
-        points: list[float] = []
         for i, b in enumerate(bids):
             fn = b.demand
             caps[i] = b.rack_cap_w
@@ -168,12 +221,6 @@ class PduBlock:
                 q_max[i] = fn.max_price
                 max_demand[i] = fn.max_demand_w
                 demands.append(fn)
-            # Grid augmentation points: the curve's public breakpoint
-            # attributes only.
-            for attr in ("q_min", "q_max", "price_cap"):
-                value = getattr(fn, attr, None)
-                if value is not None:
-                    points.append(float(value))
         # Rack-clipped demand at each row's own max acceptable price,
         # with the same float arithmetic as demand_at(max_price).
         for i, b in enumerate(bids):
@@ -199,7 +246,6 @@ class PduBlock:
         self.rack_cap_w = caps
         self.max_demand_w = max_demand
         self.floor_w = floor
-        self.breakpoints = np.asarray(points, dtype=float)
         self.demands = tuple(demands)
 
     def __len__(self) -> int:
@@ -248,14 +294,12 @@ class BidFrame:
         "rack_cap_w",
         "max_demand_w",
         "floor_w",
-        "breakpoints",
         "_demands",
         "_bids",
         "_row_of",
         "_segments",
         "_sampled_rows",
         "_grid_cache",
-        "_pdu_slices_cache",
     )
 
     def __init__(
@@ -273,7 +317,6 @@ class BidFrame:
         rack_cap_w: np.ndarray,
         max_demand_w: np.ndarray,
         floor_w: np.ndarray,
-        breakpoints: np.ndarray,
         demands: tuple[DemandFunction | None, ...],
         bids: tuple[RackBid, ...] | None,
     ) -> None:
@@ -290,14 +333,12 @@ class BidFrame:
         self.rack_cap_w = rack_cap_w
         self.max_demand_w = max_demand_w
         self.floor_w = floor_w
-        self.breakpoints = breakpoints
         self._demands = demands
         self._bids = bids
         self._row_of: dict[str, int] | None = None
         self._segments: tuple[np.ndarray, np.ndarray] | None = None
         self._sampled_rows: np.ndarray | None = None
         self._grid_cache: dict | None = None
-        self._pdu_slices_cache: list[tuple[str, "BidFrame"]] | None = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -388,7 +429,6 @@ class BidFrame:
             rack_cap_w=caps,
             max_demand_w=d_max,
             floor_w=floor,
-            breakpoints=np.concatenate([q_lo, q_hi]),
             demands=(None,) * n,
             bids=None,
         )
@@ -423,7 +463,6 @@ class BidFrame:
                 rack_cap_w=empty,
                 max_demand_w=empty,
                 floor_w=empty,
-                breakpoints=empty,
                 demands=(),
                 bids=(),
             )
@@ -455,7 +494,6 @@ class BidFrame:
             rack_cap_w=np.concatenate([b.rack_cap_w for b in blocks]),
             max_demand_w=np.concatenate([b.max_demand_w for b in blocks]),
             floor_w=np.concatenate([b.floor_w for b in blocks]),
-            breakpoints=np.concatenate([b.breakpoints for b in blocks]),
             demands=tuple(d for b in blocks for d in b.demands),
             bids=tuple(bid for b in blocks for bid in b.bids),
         )
@@ -539,9 +577,100 @@ class BidFrame:
             self._sampled_rows = np.flatnonzero(self.kind == KIND_SAMPLED)
         return self._sampled_rows
 
-    def max_acceptable_price(self) -> float:
-        """Highest price any row still demands at (scan upper bound)."""
-        return float(self.q_max.max()) if len(self) else 0.0
+    def segment_of_row(self) -> np.ndarray:
+        """Per-row index into :meth:`segments`."""
+        starts, _ = self.segments()
+        return np.repeat(
+            np.arange(starts.size), np.diff(np.append(starts, len(self)))
+        )
+
+    def market_starts(self, per_pdu: bool) -> np.ndarray:
+        """Row offsets of the frame's markets, ``(n_markets + 1,)``.
+
+        A *market* is a run of rows sharing one price grid: each PDU
+        segment (``per_pdu``) or the whole frame.
+        """
+        starts = self.segments()[0] if per_pdu else np.zeros(1, dtype=np.intp)
+        return np.append(starts, len(self))
+
+    # ------------------------------------------------------------------
+    # Price grids
+    # ------------------------------------------------------------------
+
+    def market_grid(
+        self,
+        per_pdu: bool,
+        lo: float,
+        max_price: float,
+        step: float,
+        include_breakpoints: bool,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Every market's ascending scan grid, concatenated.
+
+        Returns ``(prices, starts)``: market ``m`` scans
+        ``prices[starts[m]:starts[m + 1]]``.  Each grid is the fixed-step
+        grid over ``[lo, hi]`` with ``hi`` the lower of ``max_price`` and
+        the market's highest acceptable bid price (no bid demands
+        anything above it), or just ``[lo]`` when ``hi < lo``.  It is
+        built overshoot-free — ``np.arange(lo, hi + step, step)`` can
+        overshoot ``hi`` by a whole element under float error, so the
+        steps are counted explicitly.
+
+        With ``include_breakpoints`` every bid's curve breakpoints
+        (``q_min`` / ``q_max`` / ``price_cap``) inside ``[lo, hi]`` join
+        its market's grid, so coarse steps do not miss profit kinks.
+        Merged values within ``step * 1e-9`` of their predecessor
+        collapse onto the *smaller* one, which at a ``q_max`` kink is the
+        breakpoint itself; markets that received no breakpoint keep the
+        plain grid.  All markets merge in one pass (each plain grid is
+        a prefix of the longest, so one ``searchsorted`` places every
+        breakpoint).
+
+        Frames are immutable once built, so the grids are cached per
+        frame: the incremental builder hands the engine the *same frame
+        object* on unchanged-bid slots, turning the rebuild into a dict
+        hit.
+        """
+        key = (per_pdu, lo, max_price, step, include_breakpoints)
+        if self._grid_cache is None:
+            self._grid_cache = {}
+        cached = self._grid_cache.get(key)
+        if cached is not None:
+            return cached
+        rows = self.market_starts(per_pdu)
+        if len(self):
+            hi = np.minimum(max_price, np.maximum.reduceat(self.q_max, rows[:-1]))
+        else:
+            hi = np.full(rows.size - 1, float(max_price))
+        with np.errstate(invalid="ignore"):
+            count = np.floor((hi - lo) / step * (1.0 + 1e-12) + 1e-9)
+        count = np.where(hi < lo, 1, count.astype(np.intp) + 1)
+        # Every market's plain grid is a prefix of the longest one.
+        longest = lo + step * np.arange(int(count.max()) if count.size else 0)
+        prices = np.concatenate([longest[:0], *(longest[:n] for n in count.tolist())])
+        starts = np.concatenate([[0], np.cumsum(count)])
+        if include_breakpoints and len(self):
+            row_market = np.repeat(np.arange(count.size), np.diff(rows))
+            closed = self.kind == KIND_CLOSED
+            point_market = [row_market[closed], row_market[closed]]
+            points = [self.q_min[closed], self.q_max[closed]]
+            for row in self.sampled_rows:
+                fn = self._demands[int(row)]
+                for attr in ("q_min", "q_max", "price_cap"):
+                    value = getattr(fn, attr, None)
+                    if value is not None:
+                        point_market.append(row_market[[row]])
+                        points.append(np.array([float(value)]))
+            point_market = np.concatenate(point_market)
+            points = np.concatenate(points)
+            inside = (points >= lo) & (points <= hi[point_market])
+            if inside.any():
+                prices, starts = _merge_points(
+                    prices, starts, longest, point_market[inside], points[inside], step
+                )
+        grid = (prices, starts)
+        self._grid_cache[key] = grid
+        return grid
 
     # ------------------------------------------------------------------
     # Demand evaluation
@@ -564,9 +693,12 @@ class BidFrame:
             out=out,
         )
 
-    def demand_at(self, price: float) -> np.ndarray:
-        """Rack-clipped demand vector at one price (grant extraction)."""
-        return self.demand_matrix(np.array([float(price)]))[:, 0]
+    def demand_at(self, price: "float | np.ndarray") -> np.ndarray:
+        """Rack-clipped demand vector at one price, or at one price per
+        row (grant extraction)."""
+        price = np.asarray(price, dtype=float)
+        column = price.reshape(-1, 1) if price.ndim else price[None]
+        return self.demand_matrix(column)[:, 0]
 
     def pdu_demand(
         self, demand: np.ndarray, out: np.ndarray | None = None
@@ -586,269 +718,185 @@ class BidFrame:
         prices: np.ndarray,
         group_rows: "Sequence[np.ndarray]" = (),
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Aggregate rack-clipped demand over an ascending price grid.
+        """Per-PDU and per-group demand totals over one price grid.
 
-        This is the clearing scan's workhorse.  Materialising the full
-        ``(n_bids, n_prices)`` demand matrix and summing it is O(n x P)
-        in both time and memory traffic; but each closed-form row is
-        piece-wise *linear* in price — flat at ``min(d_max, cap)``, one
-        descending segment, then zero — so its contribution to a total
-        is three breakpoints.  The totals are therefore built as
-        difference arrays over the grid (slope/intercept increments at
-        each row's breakpoint indices) and integrated with one
-        ``cumsum`` per aggregate: O(n log P + n_aggregates x P).
+        The one-market case of :meth:`market_demand`: returns
+        ``(pdu_demand, group_demand)`` with shapes ``(n_pdus, P)`` and
+        ``(len(group_rows), P)``; ``group_rows`` holds the frame row
+        indices of each extra constraint group's member racks.
+        """
+        prices = np.asarray(prices, dtype=float)
+        n_pdu = len(self.pdu_ids)
+        agg = [self.pdu_code] + [
+            np.full(len(rows), n_pdu + k, dtype=np.intp)
+            for k, rows in enumerate(group_rows)
+        ]
+        rows = [np.arange(len(self))] + [
+            np.asarray(r, dtype=np.intp) for r in group_rows
+        ]
+        agg = np.concatenate(agg)
+        order = np.argsort(agg, kind="stable")
+        totals = self.market_demand(
+            prices,
+            np.array([0, prices.size]),
+            np.zeros(n_pdu + len(group_rows), dtype=np.intp),
+            agg[order],
+            np.concatenate(rows)[order],
+        )
+        return totals[:n_pdu], totals[n_pdu:]
 
-        An exact integer count of active rows per grid cell pins totals
-        to exactly 0.0 where no row demands anything — float cancellation
+    def market_demand(
+        self,
+        prices: np.ndarray,
+        starts: np.ndarray,
+        agg_market: np.ndarray,
+        entry_agg: np.ndarray,
+        entry_row: np.ndarray,
+    ) -> np.ndarray:
+        """Rack-clipped demand totals of many aggregates at once.
+
+        This is the clearing scan's workhorse.  Markets are given as
+        concatenated ascending grids (``prices[starts[m]:starts[m+1]]``,
+        as :meth:`market_grid` builds them).  An *aggregate* sums the
+        demand of its member rows over its market's grid: a PDU, or an
+        extra constraint group.  ``agg_market`` maps aggregates to
+        markets; ``(entry_agg, entry_row)`` lists memberships, sorted by
+        aggregate and, within one, in frame row order.
+
+        Materialising the full ``(n_bids, n_prices)`` demand matrix and
+        summing it is O(n x P) in time and memory traffic; but each
+        closed-form row is piece-wise *linear* in price — flat at
+        ``min(d_max, cap)``, one descending segment, then zero — so its
+        contribution to a total is three breakpoints.  The totals are
+        built as difference arrays (slope/intercept increments at each
+        row's breakpoint indices, found for all markets by one
+        ``searchsorted`` over ``(market, price)`` keys), scattered into
+        one ``(aggregates x P)`` block and integrated by one row-wise
+        ``cumsum``: O(n log P + aggregates x P) with ``P`` the longest
+        grid.  Cells past a market's own grid are padding.
+
+        An exact integer count of active rows per cell pins totals to
+        exactly 0.0 where no row demands anything — float cancellation
         noise there could otherwise masquerade as revenue.  Sampled rows
         (``FullBid`` and custom curves) are evaluated through their own
         ``demand_grid`` and added in.
-
-        Args:
-            prices: Ascending candidate price grid, shape ``(P,)``.
-            group_rows: For each extra constraint group, the frame row
-                indices of its member racks.
-
-        Returns:
-            ``(pdu_demand, group_demand)`` with shapes
-            ``(n_pdus, P)`` and ``(len(group_rows), P)``.
         """
-        prices = np.asarray(prices, dtype=float)
-        n_prices = prices.size
-        n_pdu = len(self.pdu_ids)
-        n_groups = len(group_rows)
-        pdu_demand = np.zeros((n_pdu, n_prices))
-        group_demand = np.zeros((n_groups, n_prices))
-        if not len(self):
-            return pdu_demand, group_demand
-
-        closed = np.flatnonzero(self.kind == KIND_CLOSED)
-        if closed.size:
-            d_max = self.d_max_w[closed]
-            d_min = self.d_min_w[closed]
-            q_lo = self.q_min[closed]
-            q_hi = self.q_max[closed]
-            cap = self.rack_cap_w[closed]
-
-            flat_w = np.minimum(d_max, cap)
-            # Demand is zero strictly above q_max: first grid index past it.
-            j_end = np.searchsorted(prices, q_hi, side="right")
-            span = q_hi - q_lo
-            safe_span = np.where(span > 0, span, 1.0)
-            slope = np.where(span > 0, (d_min - d_max) / safe_span, 0.0)
-            # A descending segment exists only when the curve actually
-            # falls and the rack cap does not flatten it entirely.
-            sloped = (slope < 0) & (cap > d_min)
-            intercept = d_max - slope * q_lo
-            # Where the rack cap cuts the descending segment, the row
-            # stays flat (at the cap) until the line drops below it.
-            safe_slope = np.where(slope < 0, slope, -1.0)
-            # Near-flat curves make this quotient overflow to +/-inf;
-            # searchsorted and the clamp below absorb either extreme.
-            with np.errstate(over="ignore"):
-                crossing = np.where(
-                    sloped & (cap < d_max),
-                    (cap - intercept) / safe_slope,
-                    q_lo,
-                )
-            j_start = np.minimum(
-                np.searchsorted(
-                    prices, np.maximum(q_lo, crossing), side="right"
-                ),
-                j_end,
-            )
-            # For cap-clipped rows the division can land the crossing a
-            # float-ulp on the wrong side of a grid point; classify the
-            # boundary point by value (j_start must be the first index
-            # where the line is below the cap) so flat cells are exactly
-            # `cap`, matching min(demand_grid, cap) bit for bit.
-            # Unclipped rows break at q_lo, which searchsorted gets exact.
-            clipped = sloped & (cap < d_max)
-            at_prev = intercept + slope * prices[np.maximum(j_start - 1, 0)]
-            j_start = np.where(
-                clipped & (j_start > 0) & (at_prev < cap),
-                j_start - 1,
-                j_start,
-            )
-            at_here = intercept + slope * prices[np.minimum(j_start, n_prices - 1)]
-            j_start = np.where(
-                clipped & (j_start < j_end) & (at_here >= cap),
-                j_start + 1,
-                j_start,
-            )
-            j_start = np.minimum(j_start, j_end)
-            j_start = np.where(sloped, j_start, j_end)
-            # The active count pins totals to exactly 0.0 where *no row
-            # can demand anything* — so it must exclude zero-size rows
-            # and, for curves falling to d_min == 0, the q_max grid
-            # point itself (demand there is exactly zero).  Otherwise
-            # cumsum cancellation residue (~1e-16) from other rows'
-            # add/remove pairs survives the mask and masquerades as
-            # revenue in empty regions of the scan.
-            counted = flat_w > 0
-            j_count = np.where(
-                sloped & (d_min == 0.0),
-                np.searchsorted(prices, q_hi, side="left"),
-                j_end,
-            )
-
-            def scatter(codes, width):
-                """Difference arrays for one aggregation (PDUs or groups)."""
-                d_const = np.zeros((width, n_prices + 1))
-                d_slope = np.zeros((width, n_prices + 1))
-                d_count = np.zeros((width, n_prices + 1), dtype=np.int64)
-                base = np.zeros(width)
-                np.add.at(base, codes, flat_w)
-                d_const[:, 0] += base
-                np.add.at(d_const, (codes, j_start), -flat_w)
-                cnt = np.flatnonzero(counted)
-                counts = np.zeros(width, dtype=np.int64)
-                np.add.at(counts, codes[cnt], 1)
-                d_count[:, 0] += counts
-                np.add.at(d_count, (codes[cnt], j_count[cnt]), -1)
-                lin = np.flatnonzero(sloped)
-                if lin.size:
-                    np.add.at(d_const, (codes[lin], j_start[lin]), intercept[lin])
-                    np.add.at(d_const, (codes[lin], j_end[lin]), -intercept[lin])
-                    np.add.at(d_slope, (codes[lin], j_start[lin]), slope[lin])
-                    np.add.at(d_slope, (codes[lin], j_end[lin]), -slope[lin])
-                total = (
-                    np.cumsum(d_const[:, :n_prices], axis=1)
-                    + np.cumsum(d_slope[:, :n_prices], axis=1) * prices[None, :]
-                )
-                np.maximum(total, 0.0, out=total)
-                total[np.cumsum(d_count[:, :n_prices], axis=1) == 0] = 0.0
-                return total
-
-            pdu_demand += scatter(self.pdu_code[closed], n_pdu)
-            if n_groups:
-                # Map frame rows to their position in the closed subset so
-                # group members reuse the per-row breakpoint columns.
-                pos = np.full(len(self), -1, dtype=np.intp)
-                pos[closed] = np.arange(closed.size, dtype=np.intp)
-                member_idx = []
-                member_code = []
-                for k, rows in enumerate(group_rows):
-                    idx = pos[np.asarray(rows, dtype=np.intp)]
-                    idx = idx[idx >= 0]
-                    member_idx.append(idx)
-                    member_code.append(np.full(idx.size, k, dtype=np.intp))
-                sel = np.concatenate(member_idx) if member_idx else np.empty(0, np.intp)
-                if sel.size:
-                    codes = np.concatenate(member_code)
-                    keep = (
-                        flat_w, j_start, j_end, intercept, slope, sloped,
-                        counted, j_count,
-                    )
-                    (
-                        flat_w, j_start, j_end, intercept, slope, sloped,
-                        counted, j_count,
-                    ) = (a[sel] for a in keep)
-                    group_demand += scatter(codes, n_groups)
-
-        for row in self.sampled_rows:
-            row = int(row)
-            fn = self._demands[row]
-            demand = np.minimum(fn.demand_grid(prices), self.rack_cap_w[row])
-            pdu_demand[int(self.pdu_code[row])] += demand
-            for k, rows in enumerate(group_rows):
-                if row in rows:
-                    group_demand[k] += demand
-        return pdu_demand, group_demand
-
-    # ------------------------------------------------------------------
-    # Slicing
-    # ------------------------------------------------------------------
-
-    def select(self, rows: np.ndarray) -> "BidFrame":
-        """A sub-frame of ``rows`` (ascending), keeping the PDU table."""
-        rows = np.asarray(rows, dtype=np.intp)
-        return BidFrame(
-            rack_ids=tuple(self.rack_ids[int(i)] for i in rows),
-            pdu_ids=self.pdu_ids,
-            pdu_code=self.pdu_code[rows],
-            tenant_ids=self.tenant_ids,
-            tenant_code=self.tenant_code[rows],
-            kind=self.kind[rows],
-            d_max_w=self.d_max_w[rows],
-            q_min=self.q_min[rows],
-            d_min_w=self.d_min_w[rows],
-            q_max=self.q_max[rows],
-            rack_cap_w=self.rack_cap_w[rows],
-            max_demand_w=self.max_demand_w[rows],
-            floor_w=self.floor_w[rows],
-            breakpoints=self._select_breakpoints(rows),
-            demands=tuple(self._demands[int(i)] for i in rows),
-            bids=(
-                tuple(self._bids[int(i)] for i in rows)
-                if self._bids is not None
-                else None
-            ),
+        grid = padded_grids(prices, starts)
+        n_agg, n_prices = agg_market.size, grid.shape[1]
+        width = n_prices + 1
+        d_const = np.zeros((n_agg, width))
+        d_slope = np.zeros((n_agg, width))
+        d_count = np.zeros((n_agg, width), dtype=np.int64)
+        closed = self.kind[entry_row] == KIND_CLOSED
+        rows = entry_row[closed]
+        agg = entry_agg[closed]
+        market = agg_market[agg]
+        first = starts[market]
+        size = starts[market + 1] - first
+        one_market = starts.size == 2
+        keys = (
+            prices
+            if one_market
+            else _pairs(np.repeat(np.arange(starts.size - 1), np.diff(starts)), prices)
         )
 
-    def _select_breakpoints(self, rows: np.ndarray) -> np.ndarray:
-        """Grid-augmentation points contributed by a subset of rows."""
-        rows = np.asarray(rows, dtype=np.intp)
-        if rows.size and bool((self.kind[rows] == KIND_CLOSED).all()):
-            # All-closed subsets contribute (q_min, q_max) per row, in
-            # row order — same values, same order as the loop below.
-            return np.stack(
-                [self.q_min[rows], self.q_max[rows]], axis=1
-            ).ravel()
-        points: list[float] = []
-        for i in rows:
-            i = int(i)
-            if self.kind[i] == KIND_CLOSED:
-                points.append(float(self.q_min[i]))
-                points.append(float(self.q_max[i]))
-            else:
-                fn = self._demands[i]
-                for attr in ("q_min", "q_max", "price_cap"):
-                    value = getattr(fn, attr, None)
-                    if value is not None:
-                        points.append(float(value))
-        return np.asarray(points, dtype=float)
+        def index(values, side="right"):
+            """Each row's insertion index into its own market's grid."""
+            query = values if one_market else _pairs(market, values)
+            return np.searchsorted(keys, query, side=side) - first
 
-    def pdu_slices(self) -> list[tuple[str, "BidFrame"]]:
-        """Per-PDU sub-frames for locational clearing, frame-sliced.
+        d_max = self.d_max_w[rows]
+        d_min = self.d_min_w[rows]
+        q_lo = self.q_min[rows]
+        q_hi = self.q_max[rows]
+        cap = self.rack_cap_w[rows]
 
-        Each slice is a single-PDU frame (its ``pdu_code`` re-based to
-        zero) over a contiguous row range — no object regrouping.  The
-        slice list is cached: frames are immutable once built, and the
-        incremental builder reuses whole frames across slots, so repeat
-        callers (per-PDU clearing every slot) skip the re-slicing cost.
-        """
-        if self._pdu_slices_cache is not None:
-            return self._pdu_slices_cache
-        starts, seg_codes = self.segments()
-        ends = np.concatenate([starts[1:], [len(self)]])
-        slices: list[tuple[str, BidFrame]] = []
-        for seg, (lo, hi) in zip(seg_codes, zip(starts, ends)):
-            pdu_id = self.pdu_ids[int(seg)]
-            rows = slice(int(lo), int(hi))
-            sub = BidFrame(
-                rack_ids=self.rack_ids[rows],
-                pdu_ids=(pdu_id,),
-                pdu_code=np.zeros(hi - lo, dtype=np.intp),
-                tenant_ids=self.tenant_ids,
-                tenant_code=self.tenant_code[rows],
-                kind=self.kind[rows],
-                d_max_w=self.d_max_w[rows],
-                q_min=self.q_min[rows],
-                d_min_w=self.d_min_w[rows],
-                q_max=self.q_max[rows],
-                rack_cap_w=self.rack_cap_w[rows],
-                max_demand_w=self.max_demand_w[rows],
-                floor_w=self.floor_w[rows],
-                breakpoints=self._select_breakpoints(
-                    np.arange(lo, hi, dtype=np.intp)
-                ),
-                demands=self._demands[rows],
-                bids=self._bids[rows] if self._bids is not None else None,
+        flat_w = np.minimum(d_max, cap)
+        # Demand is zero strictly above q_max: first grid index past it.
+        j_end = index(q_hi)
+        span = q_hi - q_lo
+        safe_span = np.where(span > 0, span, 1.0)
+        slope = np.where(span > 0, (d_min - d_max) / safe_span, 0.0)
+        # A descending segment exists only when the curve actually
+        # falls and the rack cap does not flatten it entirely.
+        sloped = (slope < 0) & (cap > d_min)
+        intercept = d_max - slope * q_lo
+        # Where the rack cap cuts the descending segment, the row
+        # stays flat (at the cap) until the line drops below it.
+        safe_slope = np.where(slope < 0, slope, -1.0)
+        # Near-flat curves make this quotient overflow to +/-inf;
+        # searchsorted and the clamp below absorb either extreme.
+        with np.errstate(over="ignore"):
+            crossing = np.where(
+                sloped & (cap < d_max),
+                (cap - intercept) / safe_slope,
+                q_lo,
             )
-            slices.append((pdu_id, sub))
-        self._pdu_slices_cache = slices
-        return slices
+        j_start = np.minimum(index(np.maximum(q_lo, crossing)), j_end)
+        # For cap-clipped rows the division can land the crossing a
+        # float-ulp on the wrong side of a grid point; classify the
+        # boundary point by value (j_start must be the first index
+        # where the line is below the cap) so flat cells are exactly
+        # `cap`, matching min(demand_grid, cap) bit for bit.
+        # Unclipped rows break at q_lo, which searchsorted gets exact.
+        clipped = sloped & (cap < d_max)
+        at_prev = intercept + slope * prices[first + np.maximum(j_start - 1, 0)]
+        j_start = np.where(
+            clipped & (j_start > 0) & (at_prev < cap), j_start - 1, j_start
+        )
+        at_here = intercept + slope * prices[first + np.minimum(j_start, size - 1)]
+        j_start = np.where(
+            clipped & (j_start < j_end) & (at_here >= cap), j_start + 1, j_start
+        )
+        j_start = np.minimum(j_start, j_end)
+        j_start = np.where(sloped, j_start, j_end)
+        # The active count pins totals to exactly 0.0 where *no row
+        # can demand anything* — so it must exclude zero-size rows
+        # and, for curves falling to d_min == 0, the q_max grid
+        # point itself (demand there is exactly zero).  Otherwise
+        # cumsum cancellation residue (~1e-16) from other rows'
+        # add/remove pairs survives the mask and masquerades as
+        # revenue in empty regions of the scan.
+        counted = flat_w > 0
+        j_count = np.where(sloped & (d_min == 0.0), index(q_hi, "left"), j_end)
+
+        # One scatter per difference term, rows in frame order within
+        # each aggregate (np.add.at applies indices in order), so every
+        # cell sums exactly as a one-market sweep would.
+        cells = agg * width
+        base = np.zeros(n_agg)
+        np.add.at(base, agg, flat_w)
+        d_const[:, 0] += base
+        np.add.at(d_const.ravel(), cells + j_start, -flat_w)
+        counts = np.zeros(n_agg, dtype=np.int64)
+        np.add.at(counts, agg[counted], 1)
+        d_count[:, 0] += counts
+        np.add.at(d_count.ravel(), (cells + j_count)[counted], -1)
+        lin = np.flatnonzero(sloped)
+        if lin.size:
+            np.add.at(d_const.ravel(), cells[lin] + j_start[lin], intercept[lin])
+            np.add.at(d_const.ravel(), cells[lin] + j_end[lin], -intercept[lin])
+            np.add.at(d_slope.ravel(), cells[lin] + j_start[lin], slope[lin])
+            np.add.at(d_slope.ravel(), cells[lin] + j_end[lin], -slope[lin])
+        if not one_market:
+            grid = grid[agg_market]
+        total = (
+            np.cumsum(d_const[:, :n_prices], axis=1)
+            + np.cumsum(d_slope[:, :n_prices], axis=1) * grid
+        )
+        np.maximum(total, 0.0, out=total)
+        total[np.cumsum(d_count[:, :n_prices], axis=1) == 0] = 0.0
+
+        for k in np.flatnonzero(~closed):
+            row, a = int(entry_row[k]), int(entry_agg[k])
+            m = int(agg_market[a])
+            fn = self._demands[row]
+            demand = np.minimum(
+                fn.demand_grid(prices[starts[m] : starts[m + 1]]),
+                self.rack_cap_w[row],
+            )
+            total[a, : demand.size] += demand
+        return total
 
     # ------------------------------------------------------------------
     # Settlement

@@ -151,9 +151,11 @@ class PhaseAssignment:
             raise ConfigurationError("safety_margin must be in [0, 1)")
         constraints = []
         for static in self.constraints(imbalance_tolerance):
+            # Sorted: frozenset order follows the hash seed, and a float
+            # sum follows its order.
             draw = sum(
                 self._topology.rack(rack_id).power_w
-                for rack_id in static.rack_ids
+                for rack_id in sorted(static.rack_ids)
             )
             headroom = max(0.0, static.cap_w * (1 - safety_margin) - draw)
             constraints.append(

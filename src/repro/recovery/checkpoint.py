@@ -49,7 +49,9 @@ __all__ = [
 #: resumes continue inside the slot loop.
 #: 3: header and engine are separate pickles; the allocator lost its
 #: sharding knobs and ``PduBlock`` moved to :mod:`repro.core.frame`.
-CHECKPOINT_FORMAT = 3
+#: 4: frames and blocks dropped their ``breakpoints`` column and the
+#: frame its per-PDU slice cache.
+CHECKPOINT_FORMAT = 4
 
 _MAGIC = "spotdc-checkpoint"
 _NAME_RE = re.compile(r"^checkpoint_(\d{6,})\.pkl$")

@@ -107,15 +107,28 @@ def clear(bids, pdu_spot_w, ups_spot_w, params, extra=(), include_breakpoints=Tr
     )
 
 
-def localize(extra, local_ids, servable):
-    """Restrict rack-set bounds to one PDU; split zones by servable share."""
+def in_order(values):
+    """Sequential float sum in the given order."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+def localize(extra, local_ids, servable, row_order):
+    """Restrict rack-set bounds to one PDU; split zones by servable share.
+
+    Shares sum over ``row_order`` (the frame's rows: PDU-sorted,
+    submission order within a PDU), never over a set, whose order
+    follows the hash seed.
+    """
     localized = []
     for c in extra:
         here = c.rack_ids & local_ids
         if not here:
             continue
-        total = sum(servable.get(r, 0.0) for r in c.rack_ids)
-        share = sum(servable.get(r, 0.0) for r in here)
+        total = in_order(servable[r] for r in row_order if r in c.rack_ids)
+        share = in_order(servable[r] for r in row_order if r in here)
         cap = c.cap_w if c.rack_ids <= local_ids or total <= 0 else c.cap_w * share / total
         localized.append(CapacityConstraint(c.name, frozenset(here), cap))
     return localized
@@ -134,6 +147,7 @@ def clear_per_pdu(bids, pdu_spot_w, ups_spot_w, params, extra=()):
         for p in sorted(by_pdu)
     }
     total_interest = sum(interest.values())
+    row_order = [b.rack_id for p in sorted(by_pdu) for b in by_pdu[p]]
     grants, pdu_prices = {}, {}
     revenue, candidates, feasible = 0.0, 0, 0
     for p in sorted(by_pdu):
@@ -142,7 +156,10 @@ def clear_per_pdu(bids, pdu_spot_w, ups_spot_w, params, extra=()):
             # Eq. 4 by construction: apportioned caps sum to <= P_o.
             cap = min(cap, ups_spot_w * interest[p] / total_interest)
         local_ids = {b.rack_id for b in by_pdu[p]}
-        local = clear(by_pdu[p], {p: cap}, cap, params, localize(extra, local_ids, servable))
+        local = clear(
+            by_pdu[p], {p: cap}, cap, params,
+            localize(extra, local_ids, servable, row_order),
+        )
         grants.update(local.grants_w)
         pdu_prices[p] = local.price
         revenue += local.revenue_rate

@@ -329,11 +329,13 @@ class TestFrameAdapter:
             assert len(frame) == 0
             assert frame.rack_ids == frame.pdu_ids == frame.tenant_ids == ()
             assert frame.to_bids() == ()
-            assert frame.pdu_slices() == []
+            assert frame.market_starts(per_pdu=True).tolist() == [0]
+            prices, starts = frame.market_grid(True, 0.0, 1.0, 0.01, True)
+            assert prices.size == 0 and starts.tolist() == [0]
             assert frame.pdu_code.dtype == frame.tenant_code.dtype == np.intp
             assert frame.kind.dtype == np.uint8
             for column in ("d_max_w", "q_min", "d_min_w", "q_max", "rack_cap_w",
-                           "max_demand_w", "floor_w", "breakpoints"):
+                           "max_demand_w", "floor_w"):
                 assert getattr(frame, column).shape == (0,)
             totals, groups = frame.demand_totals(np.array([0.1, 0.2]))
             assert totals.shape == (0, 2) and groups.shape == (0, 2)
@@ -379,12 +381,21 @@ class TestFrameAdapter:
             oracle.clear(bids, pdu_spot, 90.0, PARAMS),
         )
 
-    def test_pdu_slices_partition_frame(self):
+    def test_market_grid_partitions_frame(self):
         frame = BidFrame.from_bids(self._bids())
-        slices = frame.pdu_slices()
-        assert [pdu_id for pdu_id, _ in slices] == list(frame.pdu_ids)
-        racks = [rid for _, sub in slices for rid in sub.rack_ids]
-        assert racks == list(frame.rack_ids)
-        for pdu_id, sub in slices:
-            assert set(sub.pdu_code.tolist()) == {0}
-            assert sub.pdu_ids == (pdu_id,)
+        starts, seg_codes = frame.segments()
+        assert [frame.pdu_ids[c] for c in seg_codes] == list(frame.pdu_ids)
+        rows = frame.market_starts(per_pdu=True)
+        assert rows.tolist() == starts.tolist() + [len(frame)]
+        assert frame.market_starts(per_pdu=False).tolist() == [0, len(frame)]
+        engine = _engine()
+        prices, grid_starts = frame.market_grid(
+            True, PARAMS.reserve_price, PARAMS.max_price, PARAMS.price_step, True
+        )
+        for m in range(len(frame.pdu_ids)):
+            alone = BidFrame.from_bids(frame.to_bids()[rows[m] : rows[m + 1]])
+            assert alone.pdu_ids == (frame.pdu_ids[m],)
+            assert np.array_equal(
+                prices[grid_starts[m] : grid_starts[m + 1]],
+                engine.candidate_prices(alone),
+            )

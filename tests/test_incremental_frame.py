@@ -19,12 +19,13 @@ from repro.config import MarketParameters
 from repro.core.bids import RackBid
 from repro.core.clearing import MarketClearing
 from repro.core.demand import FullBid, LinearBid, StepBid
-from repro.core.frame import KIND_CLOSED, BidFrame
+from repro.core.frame import BidFrame, group_by_pdu
 from repro.core.market import SpotDCAllocator
 from repro.core.sharding import IncrementalFrameBuilder
 from repro.sim.engine import run_simulation
 from repro.sim.scenario import testbed_scenario as build_testbed
 from repro.telemetry import TelemetryConfig
+from tests import oracle
 
 SLOTS = 12
 
@@ -39,7 +40,6 @@ _ARRAY_COLUMNS = (
     "rack_cap_w",
     "max_demand_w",
     "floor_w",
-    "breakpoints",
 )
 
 
@@ -296,22 +296,39 @@ class TestFrameCaches:
         assert engine.candidate_prices(other) is not first
         assert np.array_equal(engine.candidate_prices(other), first)
 
-    def test_pdu_slices_cached_per_frame(self):
+    def test_market_grid_cached_per_frame(self):
         frame = BidFrame.from_bids(_population())
-        assert frame.pdu_slices() is frame.pdu_slices()
+        params = MarketParameters(price_step=0.01)
+        key = (True, params.reserve_price, params.max_price, params.price_step, True)
+        prices, starts = grid = frame.market_grid(*key)
+        assert frame.market_grid(*key) is grid
+        # Every segment's grid is the uniform grid of its PDU's rows alone.
+        engine = MarketClearing(params=params)
+        groups = group_by_pdu(frame.to_bids())
+        assert starts.size == len(frame.pdu_ids) + 1
+        for m, pdu_id in enumerate(frame.pdu_ids):
+            alone = engine.candidate_prices(groups[pdu_id])
+            assert np.array_equal(prices[starts[m] : starts[m + 1]], alone)
 
-    def test_breakpoint_fast_path_matches_loop(self):
-        frame = BidFrame.from_bids(_population())
-        closed = np.flatnonzero(frame.kind == KIND_CLOSED)
-        fast = frame._select_breakpoints(closed)
-        expected = []
-        for i in closed:
-            expected.append(float(frame.q_min[int(i)]))
-            expected.append(float(frame.q_max[int(i)]))
-        assert np.array_equal(fast, np.asarray(expected))
-        # Mixed subsets (sampled rows present) take the generic loop.
-        mixed = frame._select_breakpoints(np.arange(len(frame)))
-        assert mixed.size >= fast.size
+    def test_segment_grids_match_oracle(self):
+        # Breakpoints come from the closed-form columns and, for sampled
+        # rows, the curve's own attributes; the oracle reads attributes.
+        bids = _population() + [
+            _bid("r9", "p1", "tE", FullBid([5.0, 9.0], [0.0003, 0.0001], 0.33))
+        ]
+        frame = BidFrame.from_bids(bids)
+        params = MarketParameters(price_step=0.05)
+        groups = group_by_pdu(frame.to_bids())
+        for breakpoints in (True, False):
+            prices, starts = frame.market_grid(
+                True, params.reserve_price, params.max_price,
+                params.price_step, breakpoints,
+            )
+            for m, pdu_id in enumerate(frame.pdu_ids):
+                assert np.array_equal(
+                    prices[starts[m] : starts[m + 1]],
+                    oracle.candidate_grid(groups[pdu_id], params, breakpoints),
+                )
 
 
 # -- end-to-end: the incremental default changes no bytes --------------
