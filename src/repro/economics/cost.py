@@ -15,8 +15,11 @@ from __future__ import annotations
 
 import dataclasses
 
+import numpy as np
+
 from repro.config import SLO_LATENCY_MS
 from repro.errors import ConfigurationError
+from repro.power.elementwise import pow_each
 
 __all__ = ["SprintingCostModel", "OpportunisticCostModel"]
 
@@ -57,6 +60,27 @@ class SprintingCostModel:
         if request_rate_rps < 0:
             raise ConfigurationError("request rate must be >= 0")
         return self.cost_per_job(latency_ms) * request_rate_rps * 3600.0
+
+    def cost_rate_per_hour_array(
+        self, latency_ms: np.ndarray, request_rate_rps
+    ) -> np.ndarray:
+        """:meth:`cost_rate_per_hour` over an array of latencies.
+
+        Bit-identical to the scalar form; the rate may be a scalar or an
+        array broadcasting against ``latency_ms``.
+        """
+        rate = np.asarray(request_rate_rps, dtype=float)
+        if (rate < 0).any():
+            raise ConfigurationError("request rate must be >= 0")
+        latency = np.asarray(latency_ms, dtype=float)
+        if (latency < 0).any():
+            raise ConfigurationError(
+                f"latency must be >= 0, got {float(latency.min())}"
+            )
+        cost = self.a * latency
+        penalty = self.b * pow_each(latency - self.slo_ms, 2)
+        cost = np.where(latency > self.slo_ms, cost + penalty, cost)
+        return cost * rate * 3600.0
 
     def violates_slo(self, latency_ms: float) -> bool:
         """Whether a latency breaches the SLO."""

@@ -5,7 +5,9 @@ A tenant values spot capacity by the reduction in its performance cost:
 This module builds those value curves from the power/performance models
 and the cost models, producing the concave, saturating dollar-per-hour
 curves of Fig. 9 — the raw material for both the bidding strategies and
-the FullBid/MaxPerf comparisons.
+the FullBid/MaxPerf comparisons.  Each curve's grid is tabulated in one
+pass through the models' array forms, bit-identical to evaluating the
+scalar models point by point.
 """
 
 from __future__ import annotations
@@ -134,16 +136,8 @@ def sprinting_value_curve(
     base_cost = cost_model.cost_rate_per_hour(
         latency_model.latency_ms(base_power_w, arrival_rps), arrival_rps
     )
-    gains = np.array(
-        [
-            base_cost
-            - cost_model.cost_rate_per_hour(
-                latency_model.latency_ms(base_power_w + float(d), arrival_rps),
-                arrival_rps,
-            )
-            for d in grid
-        ]
-    )
+    latencies = latency_model.latency_ms_array(base_power_w + grid, arrival_rps)
+    gains = base_cost - cost_model.cost_rate_per_hour_array(latencies, arrival_rps)
     return SpotValueCurve.from_gain_samples(base_power_w, grid, gains)
 
 
@@ -182,8 +176,6 @@ def opportunistic_value_curve(
         # tenant needs guaranteed capacity, not spot, to make progress).
         gains = np.zeros_like(grid)
         return SpotValueCurve.from_gain_samples(base_power_w, grid, gains)
-    rates = np.array(
-        [throughput_model.rate_at(base_power_w + float(d)) for d in grid]
-    )
+    rates = throughput_model.rate_at_array(base_power_w + grid)
     gains = cost_model.rho * 3600.0 * (1.0 - base_rate / np.maximum(rates, 1e-12))
     return SpotValueCurve.from_gain_samples(base_power_w, grid, gains)

@@ -14,6 +14,11 @@ tail approximation:
   with ``rho = lambda / mu``, saturating at ``saturated_latency_ms`` when
   the arrival rate meets or exceeds the service rate.
 
+Every model function has a scalar form (one budget) and an ``*_array``
+form over numpy arrays of budgets or arrival rates, which value-curve
+tabulation and trace preparation use.  The array forms return the
+scalar results bit for bit (see :mod:`repro.power.elementwise`).
+
 This is a *behavioural* substitute for the paper's CloudSuite testbed
 runs: monotone decreasing and convex in power, monotone increasing in
 load, with a saturation wall — the properties the market mechanism and
@@ -24,7 +29,10 @@ from __future__ import annotations
 
 import dataclasses
 
+import numpy as np
+
 from repro.errors import ConfigurationError
+from repro.power.elementwise import pow_each, py_max, py_min
 from repro.power.server import ServerPowerModel
 
 __all__ = ["LatencyModel"]
@@ -78,6 +86,14 @@ class LatencyModel:
         f = (usable / span) ** (1.0 / self.alpha)
         return max(self.min_frequency, min(1.0, f))
 
+    def frequency_array(self, power_w: np.ndarray) -> np.ndarray:
+        """:meth:`frequency` over an array of power budgets."""
+        span = self.power_model.dynamic_range_w
+        shifted = np.asarray(power_w, dtype=float) - self.power_model.idle_w
+        usable = py_min(py_max(shifted, 0.0), span)
+        f = pow_each(usable / span, 1.0 / self.alpha)
+        return py_max(self.min_frequency, py_min(1.0, f))
+
     def service_rate_rps(self, power_w: float) -> float:
         """Sustainable request service rate at a power budget."""
         return self.mu_max_rps * self.frequency(power_w)
@@ -98,6 +114,27 @@ class LatencyModel:
         rho = arrival_rps / mu
         latency = self.d_min_ms / f + (self.tail_const_ms_rps / mu) * rho / (1 - rho)
         return min(latency, self.saturated_latency_ms)
+
+    def latency_ms_array(self, power_w: np.ndarray, arrival_rps) -> np.ndarray:
+        """:meth:`latency_ms` over arrays of budgets and arrival rates.
+
+        ``power_w`` and ``arrival_rps`` broadcast against each other; a
+        scalar rate tabulates one curve over a budget grid.
+        """
+        arrival = np.asarray(arrival_rps, dtype=float)
+        if (arrival < 0).any():
+            raise ConfigurationError(
+                f"arrival_rps must be >= 0, got {float(arrival.min())}"
+            )
+        f = self.frequency_array(power_w)
+        mu = self.mu_max_rps * f
+        saturated = arrival >= mu
+        # Saturated elements take rho = 0 only to keep 1 - rho nonzero;
+        # their latency is replaced below.
+        rho = np.where(saturated, 0.0, arrival / mu)
+        latency = self.d_min_ms / f + (self.tail_const_ms_rps / mu) * rho / (1 - rho)
+        capped = py_min(latency, self.saturated_latency_ms)
+        return np.where(saturated, self.saturated_latency_ms, capped)
 
     def power_for_latency(
         self, target_ms: float, arrival_rps: float, tolerance_w: float = 0.01
@@ -120,4 +157,28 @@ class LatencyModel:
                 hi = mid
             else:
                 lo = mid
+        return hi
+
+    def power_for_latency_array(
+        self, target_ms: float, arrival_rps: np.ndarray, tolerance_w: float = 0.01
+    ) -> np.ndarray:
+        """:meth:`power_for_latency` for every rate of an array at once.
+
+        One bisection runs over the whole array.  Each element follows
+        the scalar loop's ``lo``/``hi``/``mid`` sequence and freezes once
+        its own gap is within tolerance; the loop ends when every gap is.
+        """
+        if target_ms <= 0:
+            raise ConfigurationError("target_ms must be positive")
+        rates = np.asarray(arrival_rps, dtype=float)
+        lo = np.full(rates.shape, float(self.power_model.idle_w))
+        hi = np.full(rates.shape, float(self.power_model.peak_w))
+        reachable = ~(self.latency_ms_array(hi, rates) > target_ms)
+        active = reachable & (hi - lo > tolerance_w)
+        while active.any():
+            mid = (lo + hi) / 2
+            meets = self.latency_ms_array(mid, rates) <= target_ms
+            hi = np.where(active & meets, mid, hi)
+            lo = np.where(active & ~meets, mid, lo)
+            active &= hi - lo > tolerance_w
         return hi

@@ -5,14 +5,18 @@ processing rate growing near-linearly with the power budget above idle —
 more watts buy proportionally more active cores/frequency for
 embarrassingly parallel work.  :class:`ThroughputModel` captures exactly
 that affine relation, with an efficiency exponent available for
-sub-linear scaling (stragglers, shuffle overheads).
+sub-linear scaling (stragglers, shuffle overheads).  :meth:`rate_at`
+also has an array form for tabulating a whole budget grid at once.
 """
 
 from __future__ import annotations
 
 import dataclasses
 
+import numpy as np
+
 from repro.errors import ConfigurationError
+from repro.power.elementwise import pow_each, py_max, py_min
 from repro.power.server import ServerPowerModel
 
 __all__ = ["ThroughputModel"]
@@ -48,6 +52,13 @@ class ThroughputModel:
         span = self.power_model.dynamic_range_w
         usable = min(max(power_w - self.power_model.idle_w, 0.0), span)
         return self.rate_max * (usable / span) ** self.scaling_exponent
+
+    def rate_at_array(self, power_w: np.ndarray) -> np.ndarray:
+        """:meth:`rate_at` over an array of power budgets (bit-identical)."""
+        span = self.power_model.dynamic_range_w
+        shifted = np.asarray(power_w, dtype=float) - self.power_model.idle_w
+        usable = py_min(py_max(shifted, 0.0), span)
+        return self.rate_max * pow_each(usable / span, self.scaling_exponent)
 
     def completion_time_s(self, work_units: float, power_w: float) -> float:
         """Time to finish ``work_units`` at a fixed power budget.

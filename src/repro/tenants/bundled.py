@@ -72,11 +72,8 @@ class TierWorkload(Workload):
     def install_arrivals(self, rates: np.ndarray) -> None:
         """Install the shared arrival series (tenant-managed)."""
         self._rates = np.asarray(rates, dtype=float)
-        self._desired = np.array(
-            [
-                self.latency_model.power_for_latency(self.target_ms, float(r))
-                for r in self._rates
-            ]
+        self._desired = self.latency_model.power_for_latency_array(
+            self.target_ms, self._rates
         )
         self._mark_prepared(int(self._rates.size))
 

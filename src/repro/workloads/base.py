@@ -163,11 +163,8 @@ class InteractiveWorkload(Workload):
 
     def prepare(self, slots: int, rng: np.random.Generator) -> None:
         self._rates = np.asarray(self.arrival_trace.generate(slots, rng), dtype=float)
-        self._desired = np.array(
-            [
-                self.latency_model.power_for_latency(self.target_ms, float(r))
-                for r in self._rates
-            ]
+        self._desired = self.latency_model.power_for_latency_array(
+            self.target_ms, self._rates
         )
         self._mark_prepared(slots)
 

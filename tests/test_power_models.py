@@ -2,7 +2,10 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import CapacityError, ConfigurationError
 from repro.power.capping import apply_cap
@@ -182,3 +185,122 @@ class TestThroughputModel:
             model.completion_time_s(-1.0, 100.0)
         with pytest.raises(ConfigurationError):
             model.power_for_rate(-1.0)
+
+
+def bits(values) -> np.ndarray:
+    """IEEE bit patterns, so parity checks see signed zeros and last-place drift."""
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+@st.composite
+def latency_models(draw):
+    idle = draw(st.floats(min_value=0.0, max_value=200.0))
+    span = draw(st.floats(min_value=1.0, max_value=400.0))
+    return LatencyModel(
+        power_model=ServerPowerModel(idle, idle + span),
+        mu_max_rps=draw(st.floats(min_value=1.0, max_value=5000.0)),
+        d_min_ms=draw(st.floats(min_value=1.0, max_value=60.0)),
+        alpha=draw(st.floats(min_value=0.5, max_value=3.5)),
+        tail_const_ms_rps=draw(st.floats(min_value=0.0, max_value=1e4)),
+        min_frequency=draw(st.floats(min_value=0.01, max_value=1.0)),
+    )
+
+
+def budgets(model, draw_fracs):
+    """Budgets from fractions of the dynamic range: <0 is below idle, >1 above peak."""
+    pm = model.power_model
+    return np.array([pm.idle_w + f * pm.dynamic_range_w for f in draw_fracs])
+
+
+class TestArrayParity:
+    """The ``*_array`` forms return the scalar methods' exact bits."""
+
+    @given(
+        model=latency_models(),
+        fracs=st.lists(st.floats(min_value=-0.5, max_value=1.5), min_size=1, max_size=40),
+        load=st.floats(min_value=0.0, max_value=1.5),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_latency_matches_scalar(self, model, fracs, load):
+        power = budgets(model, fracs)
+        # Loads up to 1.5 x mu_max cover saturation (arrival >= mu).
+        rate = load * model.mu_max_rps
+        scalar = [model.latency_ms(float(p), rate) for p in power]
+        assert np.array_equal(bits(model.latency_ms_array(power, rate)), bits(scalar))
+        freq = [model.frequency(float(p)) for p in power]
+        assert np.array_equal(bits(model.frequency_array(power)), bits(freq))
+
+    @given(
+        model=latency_models(),
+        fracs=st.lists(st.floats(min_value=-0.5, max_value=1.5), min_size=1, max_size=20),
+        loads=st.lists(st.floats(min_value=0.0, max_value=1.5), min_size=1, max_size=20),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_latency_elementwise_rates(self, model, fracs, loads):
+        n = min(len(fracs), len(loads))
+        power = budgets(model, fracs[:n])
+        rates = np.array(loads[:n]) * model.mu_max_rps
+        scalar = [model.latency_ms(float(p), float(r)) for p, r in zip(power, rates)]
+        assert np.array_equal(bits(model.latency_ms_array(power, rates)), bits(scalar))
+
+    def test_latency_edge_cases(self, power_model):
+        model = LatencyModel(power_model, mu_max_rps=120.0)
+        power = np.array([0.0, 59.0, 60.0, 60.5, 120.0, 180.0, 181.0, 1e6])
+        for rate in (0.0, 24.0, 60.0, 119.99, 120.0, 500.0):
+            scalar = [model.latency_ms(float(p), rate) for p in power]
+            assert np.array_equal(bits(model.latency_ms_array(power, rate)), bits(scalar))
+        # Saturated everywhere: the clip value, no division warnings.
+        saturated = model.latency_ms_array(power, 500.0)
+        assert np.all(saturated == model.saturated_latency_ms)
+
+    def test_latency_rejects_negative_rate(self, power_model):
+        model = LatencyModel(power_model, mu_max_rps=120.0)
+        with pytest.raises(ConfigurationError):
+            model.latency_ms_array(np.array([100.0, 120.0]), np.array([10.0, -1.0]))
+
+    @given(
+        model=latency_models(),
+        loads=st.lists(st.floats(min_value=0.0, max_value=1.2), min_size=1, max_size=30),
+        target=st.floats(min_value=1.0, max_value=1200.0),
+        tolerance=st.sampled_from([0.01, 0.5, 1e-4]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_power_for_latency_matches_scalar(self, model, loads, target, tolerance):
+        rates = np.array(loads) * model.mu_max_rps
+        scalar = [model.power_for_latency(target, float(r), tolerance) for r in rates]
+        vector = model.power_for_latency_array(target, rates, tolerance)
+        assert np.array_equal(bits(vector), bits(scalar))
+
+    def test_power_for_latency_trace_edge_cases(self, power_model):
+        model = LatencyModel(power_model, mu_max_rps=120.0)
+        # Zero arrival, a reachable mid-load, a target unreachable even at
+        # peak (returns peak), and a saturating rate.
+        rates = np.array([0.0, 60.0, 110.0, 119.0, 200.0])
+        for target in (5.0, 25.0, 80.0, 90.0):
+            scalar = [model.power_for_latency(target, float(r)) for r in rates]
+            vector = model.power_for_latency_array(target, rates)
+            assert np.array_equal(bits(vector), bits(scalar))
+        vector = model.power_for_latency_array(5.0, rates)
+        assert np.all(vector == power_model.peak_w)
+
+    def test_power_for_latency_trace_validation(self, power_model):
+        model = LatencyModel(power_model, mu_max_rps=120.0)
+        with pytest.raises(ConfigurationError):
+            model.power_for_latency_array(80.0, np.array([10.0, 50.0, -0.5, 20.0]))
+        with pytest.raises(ConfigurationError):
+            model.power_for_latency_array(0.0, np.array([10.0]))
+
+    @given(
+        idle=st.floats(min_value=0.0, max_value=200.0),
+        span=st.floats(min_value=1.0, max_value=400.0),
+        rate_max=st.floats(min_value=0.1, max_value=1e4),
+        exponent=st.floats(min_value=0.05, max_value=1.5),
+        fracs=st.lists(st.floats(min_value=-0.5, max_value=1.5), min_size=1, max_size=40),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_rate_at_matches_scalar(self, idle, span, rate_max, exponent, fracs):
+        power_model = ServerPowerModel(idle, idle + span)
+        model = ThroughputModel(power_model, rate_max=rate_max, scaling_exponent=exponent)
+        power = np.array([idle + f * span for f in fracs] + [idle, idle + span])
+        scalar = [model.rate_at(float(p)) for p in power]
+        assert np.array_equal(bits(model.rate_at_array(power)), bits(scalar))

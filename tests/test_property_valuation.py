@@ -11,6 +11,7 @@ from repro.economics.valuation import (
     opportunistic_value_curve,
     sprinting_value_curve,
 )
+from repro.errors import ConfigurationError
 from repro.power.latency import LatencyModel
 from repro.power.server import ServerPowerModel
 from repro.power.throughput import ThroughputModel
@@ -128,3 +129,70 @@ class TestDerivedValueCurves:
         gains = [curve.gain_per_hour(float(d)) for d in ds]
         assert gains[0] == 0.0
         assert all(b2 >= a2 - 1e-9 for a2, b2 in zip(gains, gains[1:]))
+
+
+def bits(values) -> np.ndarray:
+    """IEEE bit patterns, so parity checks see signed zeros and last-place drift."""
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+class TestArrayParity:
+    """Array cost rates and one-pass curves match the scalar models' bits."""
+
+    @given(
+        a=st.floats(min_value=0.0, max_value=1.0),
+        b=st.floats(min_value=0.0, max_value=1.0),
+        slo=st.floats(min_value=1.0, max_value=500.0),
+        latencies=st.lists(st.floats(min_value=0.0, max_value=2000.0), max_size=40),
+        rate=st.floats(min_value=0.0, max_value=1e4),
+    )
+    @settings(max_examples=200)
+    def test_sprinting_cost_rate_matches_scalar(self, a, b, slo, latencies, rate):
+        model = SprintingCostModel(a=a, b=b, slo_ms=slo)
+        # Exactly at the SLO (no penalty) and just either side of it.
+        lat = np.array(latencies + [0.0, slo, np.nextafter(slo, 0), np.nextafter(slo, 1e9)])
+        scalar = [model.cost_rate_per_hour(float(d), rate) for d in lat]
+        assert np.array_equal(bits(model.cost_rate_per_hour_array(lat, rate)), bits(scalar))
+
+    def test_cost_rate_validation(self):
+        model = SprintingCostModel(a=1e-6, b=1e-6)
+        with pytest.raises(ConfigurationError):
+            model.cost_rate_per_hour_array(np.array([50.0, -1.0]), 10.0)
+        with pytest.raises(ConfigurationError):
+            model.cost_rate_per_hour_array(np.array([50.0]), -1.0)
+
+    @given(setup=latency_setups(), slo=st.floats(min_value=20.0, max_value=300.0))
+    @settings(max_examples=60, deadline=None)
+    def test_sprinting_curve_matches_point_by_point(self, setup, slo):
+        model, base, rate, headroom = setup
+        cost = SprintingCostModel(a=1e-6, b=1e-6, slo_ms=slo)
+        curve = sprinting_value_curve(model, cost, base, rate, headroom)
+        grid = np.linspace(0.0, headroom, 101)
+        base_cost = cost.cost_rate_per_hour(model.latency_ms(base, rate), rate)
+        gains = [
+            base_cost - cost.cost_rate_per_hour(model.latency_ms(base + float(d), rate), rate)
+            for d in grid
+        ]
+        oracle = SpotValueCurve.from_gain_samples(base, grid, np.array(gains))
+        assert np.array_equal(bits(curve._gains), bits(oracle._gains))
+
+    @given(
+        idle=st.floats(min_value=20.0, max_value=80.0),
+        span=st.floats(min_value=50.0, max_value=200.0),
+        # Above idle: a base at or below idle takes the all-zero branch.
+        base_frac=st.floats(min_value=0.01, max_value=0.9),
+        exponent=st.floats(min_value=0.2, max_value=1.5),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_opportunistic_curve_matches_point_by_point(self, idle, span, base_frac, exponent):
+        power = ServerPowerModel(idle, idle + span)
+        model = ThroughputModel(power, rate_max=span * 0.5, scaling_exponent=exponent)
+        cost = OpportunisticCostModel(rho=1e-3)
+        base = idle + base_frac * span
+        headroom = max((idle + span) - base, 1.0)
+        curve = opportunistic_value_curve(model, cost, base, 100.0, headroom)
+        grid = np.linspace(0.0, headroom, 101)
+        rates = np.array([model.rate_at(base + float(d)) for d in grid])
+        gains = cost.rho * 3600.0 * (1.0 - model.rate_at(base) / np.maximum(rates, 1e-12))
+        oracle = SpotValueCurve.from_gain_samples(base, grid, gains)
+        assert np.array_equal(bits(curve._gains), bits(oracle._gains))

@@ -74,6 +74,40 @@ class TestSprintingTenant:
         b = tenant.value_curves(slot)
         assert a[tenant.racks[0].rack_id] is b[tenant.racks[0].rack_id]
 
+    def test_bid_builds_curves_only_for_needy_racks(self):
+        fresh = build_testbed(seed=5)
+        fresh.prepare(600)
+        sprinters = [t for t in fresh.tenants if t.kind == "sprinting"]
+        captured = []
+
+        class Capturing(LinearElasticStrategy):
+            def make_rack_bid(self, ctx):
+                captured.append(ctx)
+                return super().make_rack_bid(ctx)
+
+        # One tenant over every sprinting rack, so a slot can have some
+        # racks bidding and others quiet.
+        tenant = SprintingTenant(
+            "multi",
+            [rack for t in sprinters for rack in t.racks],
+            cost_models={k: v for t in sprinters for k, v in t.cost_models.items()},
+            q_low=sprinters[0].q_low,
+            q_high=sprinters[0].q_high,
+            strategy=Capturing(),
+        )
+        useful = {r.rack_id for r in tenant.racks if r.useful_spot_w > 0}
+        slot = next(
+            s for s in range(600) if 0 < len(tenant.needed_spot_w(s)) < len(useful)
+        )
+        needed = tenant.needed_spot_w(slot)
+        tenant.make_bid(slot)
+        assert {rack_id for rack_id, _ in tenant._curve_cache} == set(needed)
+        assert sorted(ctx.rack.rack_id for ctx in captured) == sorted(needed)
+        curves = tenant.value_curves(slot)
+        assert set(curves) == useful
+        for ctx in captured:
+            assert curves[ctx.rack.rack_id] is ctx.value_curve
+
     def test_rejects_batch_workload(self, scenario):
         opportunistic = tenant_by_id(scenario, "Count-1")
         with pytest.raises(ConfigurationError):
