@@ -1,6 +1,6 @@
 """Forecast subsystem benchmarks: predict-phase overhead + frontier.
 
-Two jobs:
+Three jobs:
 
 * ``test_default_signal_predict_overhead`` pins the subsystem's core
   promise: the default ``CurrentDrawSignal`` + point release — the one
@@ -11,6 +11,10 @@ Two jobs:
   per-call reference work dominates timer noise.  Writes
   ``results/BENCH_forecast.json`` so the predict phase accumulates a
   cost trajectory across PRs.
+* ``test_default_signal_cost_flat_in_history`` pins that the default
+  signal reads only its window: its per-call cost with
+  ``LONG_HISTORY_SLOTS`` of recorded history stays within 1.5x of its
+  cost with ``WARM_SLOTS``.
 * ``test_prediction_risk_frontier_smoke`` regenerates the
   ``ext_prediction_risk`` predictor x risk-quantile frontier (strict
   machine checks on), archives the rendered figure, and writes
@@ -55,13 +59,15 @@ CALLS = 200 if SMOKE else 400
 REPEATS = 5
 #: History depth recorded before timing (> the 5-slot window).
 WARM_SLOTS = 40
+#: History depth for the flat-in-history check (100x ``WARM_SLOTS``).
+LONG_HISTORY_SLOTS = 4_000
 
 #: Frontier smoke size — the tier-2 CI invocation uses the same slots.
 FRONTIER_SLOTS = 120
 
 
-def _warm_monitor(racks: int):
-    """A synthetic topology with ``WARM_SLOTS`` of seeded draws recorded."""
+def _warm_monitor(racks: int, slots: int = WARM_SLOTS):
+    """A synthetic topology with ``slots`` of seeded draws recorded."""
     n_pdus = racks // RACKS_PER_PDU
     pdus = [Pdu(f"p{i}", RACKS_PER_PDU * 500.0) for i in range(n_pdus)]
     rack_objs = [
@@ -71,7 +77,7 @@ def _warm_monitor(racks: int):
     topology = PowerTopology.build(Ups("ups", racks * 500.0), pdus, rack_objs)
     monitor = PowerMonitor(topology)
     rng = np.random.default_rng(DEFAULT_SEED)
-    for _ in range(WARM_SLOTS):
+    for _ in range(slots):
         draws = rng.uniform(50.0, 290.0, racks)
         monitor.record_slot(
             {f"r{i}": float(draws[i]) for i in range(racks)}
@@ -152,6 +158,31 @@ def test_default_signal_predict_overhead(archive):
     assert signal_s < 1.02 * inline_s, (
         f"default signal adds {100 * overhead:.2f}% to the {RACKS}-rack "
         f"predict phase (budget: 2%)"
+    )
+
+
+def test_default_signal_cost_flat_in_history():
+    signal = CurrentDrawSignal()
+    requesting = [f"r{i}" for i in range(0, RACKS, 7)]
+    paths = []
+    for slots in (WARM_SLOTS, LONG_HISTORY_SLOTS):
+        topology, monitor = _warm_monitor(RACKS, slots)
+        paths.append(
+            lambda t=topology, m=monitor, s=slots: signal.forecast_slot(
+                t, requesting, m, s
+            )
+        )
+    short_s, long_s = _best_batch_seconds(*paths)
+    ratio = long_s / short_s
+    print(
+        f"\ndefault signal, {RACKS} racks: {1e6 * short_s / CALLS:.1f} us/call "
+        f"at {WARM_SLOTS} slots of history, {1e6 * long_s / CALLS:.1f} us/call "
+        f"at {LONG_HISTORY_SLOTS} (ratio {ratio:.2f})"
+    )
+    assert ratio <= 1.5, (
+        f"default signal costs {ratio:.2f}x more per call with "
+        f"{LONG_HISTORY_SLOTS} slots of history than with {WARM_SLOTS} "
+        "(budget: 1.5x)"
     )
 
 

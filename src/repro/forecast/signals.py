@@ -180,12 +180,25 @@ class Signal(abc.ABC):
         return self.band(point, topology, requesting, monitor)
 
     @abc.abstractmethod
-    def references(self, topology, monitor) -> dict:
-        """Per-rack reference power fed to the capacity predictor."""
+    def references(self, topology, monitor):
+        """Per-rack reference power fed to the capacity predictor.
+
+        A mapping by rack id, or an array in ``topology.racks`` order
+        (what :meth:`PowerMonitor.recent_max_w` returns).
+        """
 
     def band(self, point, topology, requesting, monitor) -> BandedForecast:
         """Widen a point forecast into a band (degenerate by default)."""
         return BandedForecast(point=point, usable_fraction=self.usable_fraction)
+
+
+def _tails(monitor, window: int, level: str) -> np.ndarray:
+    """Each series' last ``window`` samples, one contiguous row per series.
+
+    Rows are contiguous so that a mean or a variance over one adds in
+    the same order as over that series read on its own.
+    """
+    return np.ascontiguousarray(monitor.recent_rows(window, level).T)
 
 
 @dataclasses.dataclass
@@ -242,12 +255,8 @@ class CurrentDrawSignal(_PredictorSignal):
 
     name = "current_draw"
 
-    def references(self, topology, monitor) -> dict:
-        window = self.window
-        return {
-            rack_id: monitor.rack_recent_max_w(rack_id, window)
-            for rack_id in topology.racks
-        }
+    def references(self, topology, monitor) -> np.ndarray:
+        return monitor.recent_max_w(self.window)
 
 
 @dataclasses.dataclass
@@ -268,18 +277,11 @@ class RollingMaxSignal(_PredictorSignal):
     #: Short window used for the optimistic edge of the band.
     SHORT_WINDOW = 5
 
-    def references(self, topology, monitor) -> dict:
-        window = self.window
-        return {
-            rack_id: monitor.rack_recent_max_w(rack_id, window)
-            for rack_id in topology.racks
-        }
+    def references(self, topology, monitor) -> np.ndarray:
+        return monitor.recent_max_w(self.window)
 
     def band(self, point, topology, requesting, monitor) -> BandedForecast:
-        short_refs = {
-            rack_id: monitor.rack_recent_max_w(rack_id, self.SHORT_WINDOW)
-            for rack_id in topology.racks
-        }
+        short_refs = monitor.recent_max_w(self.SHORT_WINDOW)
         high = self.predictor.forecast(topology, requesting, short_refs)
         # Short-window references are pointwise <= long-window ones, so
         # `high` headrooms are pointwise >= the point: knots are sorted.
@@ -310,21 +312,20 @@ class MovingAverageSignal(_PredictorSignal):
     name = "moving_average"
     window: int = 12
 
-    def references(self, topology, monitor) -> dict:
-        window = self.window
-        references = {}
-        for rack_id in topology.racks:
-            series = monitor.rack_series(rack_id)
-            tail = series[-window:]
-            references[rack_id] = float(tail.mean()) if tail.size else 0.0
-        return references
+    def references(self, topology, monitor) -> np.ndarray:
+        return np.array(
+            [
+                float(tail.mean()) if tail.size else 0.0
+                for tail in _tails(monitor, self.window, "rack")
+            ]
+        )
 
     def band(self, point, topology, requesting, monitor) -> BandedForecast:
-        pdu_sigma = {}
-        for pdu_id in topology.pdus:
-            tail = monitor.pdu_series(pdu_id)[-self.window :]
-            pdu_sigma[pdu_id] = float(tail.std()) if tail.size >= 2 else 0.0
-        ups_tail = monitor.ups_series()[-self.window :]
+        pdu_sigma = {
+            pdu_id: float(tail.std()) if tail.size >= 2 else 0.0
+            for pdu_id, tail in zip(topology.pdus, _tails(monitor, self.window, "pdu"))
+        }
+        (ups_tail,) = _tails(monitor, self.window, "ups")
         ups_sigma = float(ups_tail.std()) if ups_tail.size >= 2 else 0.0
         return self._gaussian_band(point, topology, pdu_sigma, ups_sigma)
 
@@ -346,8 +347,7 @@ class Ar1Signal(_PredictorSignal):
     def references(self, topology, monitor) -> dict:
         references = {}
         self._residual_var = {}
-        for rack_id in topology.racks:
-            tail = monitor.rack_series(rack_id)[-self.window :]
+        for rack_id, tail in zip(monitor.rack_ids, _tails(monitor, self.window, "rack")):
             if tail.size < 3:
                 references[rack_id] = float(tail[-1]) if tail.size else 0.0
                 self._residual_var[rack_id] = 0.0
@@ -410,10 +410,16 @@ class QuantileEnsembleSignal(_PredictorSignal):
             )
 
     def references(self, topology, monitor) -> dict:
-        member_refs = [m.references(topology, monitor) for m in self.members]
+        rack_ids = topology.layout.rack_ids
+        member_refs = []
+        for member in self.members:
+            refs = member.references(topology, monitor)
+            if not isinstance(refs, np.ndarray):
+                refs = [refs[rack_id] for rack_id in rack_ids]
+            member_refs.append(refs)
         return {
-            rack_id: float(np.median([refs[rack_id] for refs in member_refs]))
-            for rack_id in topology.racks
+            rack_id: float(np.median([refs[i] for refs in member_refs]))
+            for i, rack_id in enumerate(rack_ids)
         }
 
     def _innovation_offsets(self, series) -> "np.ndarray | None":
@@ -427,15 +433,17 @@ class QuantileEnsembleSignal(_PredictorSignal):
         factor = self.under_prediction_factor
         pdu_quantiles = {}
         degenerate = False
+        tails = dict(zip(topology.pdus, _tails(monitor, self.band_window + 1, "pdu")))
         for pdu_id, headroom in point.pdu_spot_w.items():
-            offsets = self._innovation_offsets(monitor.pdu_series(pdu_id))
+            offsets = self._innovation_offsets(tails[pdu_id])
             if offsets is None:
                 degenerate = True
                 break
             pdu_quantiles[pdu_id] = tuple(
                 max(0.0, headroom + off * factor) for off in offsets
             )
-        ups_offsets = self._innovation_offsets(monitor.ups_series())
+        (ups_tail,) = _tails(monitor, self.band_window + 1, "ups")
+        ups_offsets = self._innovation_offsets(ups_tail)
         if degenerate or ups_offsets is None:
             return BandedForecast(point=point, usable_fraction=self.usable_fraction)
         ups_quantiles = tuple(

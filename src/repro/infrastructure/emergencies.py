@@ -13,7 +13,10 @@ from __future__ import annotations
 
 import dataclasses
 
+import numpy as np
+
 from repro.infrastructure.topology import PowerTopology
+from repro.power.elementwise import ordered_sum
 
 __all__ = ["Emergency", "EmergencyLog"]
 
@@ -69,27 +72,35 @@ class EmergencyLog:
 
         Rack draws are compared against the *enforced budget* (guaranteed
         plus any granted spot capacity); PDU and UPS draws against their
-        physical capacities.
+        physical capacities.  The comparisons run over the topology's
+        columnar layout; events are built only for violators, racks
+        first, then PDUs, then the UPS, each in topology order.
 
         Returns:
             The emergencies detected in this scan (also appended to
             :attr:`events`).
         """
+        layout = topology.layout
+        factor = 1 + self._tolerance
+        power = layout.power_row()
+        budget = layout.guaranteed_w + layout.spot_row()
         found: list[Emergency] = []
-        for rack in topology.racks.values():
-            budget = rack.budget_w
-            if rack.power_w > budget * (1 + self._tolerance):
-                found.append(
-                    Emergency(slot, "rack", rack.rack_id, budget, rack.power_w)
+        for i in np.flatnonzero(power > budget * factor).tolist():
+            rack = layout.racks[i]
+            found.append(
+                Emergency(slot, "rack", rack.rack_id, rack.budget_w, rack.power_w)
+            )
+        pdu_power = layout.pdu_totals(power)
+        capacity = layout.pdu_capacity_row()
+        for j in np.flatnonzero(pdu_power > capacity * factor).tolist():
+            found.append(
+                Emergency(
+                    slot, "pdu", layout.pdu_ids[j],
+                    layout.pdus[j].capacity_w, float(pdu_power[j]),
                 )
-        for pdu_id, pdu in topology.pdus.items():
-            power = topology.pdu_power_w(pdu_id)
-            if power > pdu.capacity_w * (1 + self._tolerance):
-                found.append(
-                    Emergency(slot, "pdu", pdu_id, pdu.capacity_w, power)
-                )
-        ups_power = topology.ups_power_w()
-        if ups_power > topology.ups.capacity_w * (1 + self._tolerance):
+            )
+        ups_power = ordered_sum(power)
+        if ups_power > topology.ups.capacity_w * factor:
             found.append(
                 Emergency(
                     slot, "ups", topology.ups.ups_id,

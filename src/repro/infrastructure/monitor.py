@@ -14,26 +14,44 @@ The true series models the hardened protection path (breaker-level
 telemetry) that the degradation controller projects excursions from;
 it is only materialised when a metered sample ever diverges, so
 fault-free simulations pay nothing for it.
+
+Storage is columnar (:mod:`repro.infrastructure.layout`): one float64
+row per slot, aligned to the topology's rack order, for the metered
+draws, the PDU totals and the UPS total (and, once materialised, the
+true draws).  The per-slot readers — the forecast signals, the
+degradation controller — take whole rows with :meth:`recent_max_w` and
+:meth:`recent_rows`; the per-rack accessors are thin reads of the same
+rows.
 """
 
 from __future__ import annotations
 
-import collections
 from collections.abc import Mapping
 
 import numpy as np
 
-from repro.errors import SimulationError
+from repro.errors import CapacityError, SimulationError
+from repro.infrastructure.layout import SlotRows
 from repro.infrastructure.topology import PowerTopology
+from repro.power.elementwise import ordered_sum
 
 __all__ = ["PowerMonitor"]
+
+
+def _recent_max(rows: np.ndarray) -> np.ndarray:
+    """Per-column ``max()`` over rows, oldest first, with Python's tie rule."""
+    best = rows[0]
+    for row in rows[1:]:
+        best = np.where(row > best, row, best)
+    return best
 
 
 class PowerMonitor:
     """Per-slot power telemetry for a facility.
 
     Args:
-        topology: The facility to monitor.
+        topology: The facility to monitor; its rack order at construction
+            is the column order of every rack row.
         history_slots: Number of most-recent slots retained per series.
             Year-long simulations keep memory bounded by default; pass a
             larger value when a full series is needed for CDF figures.
@@ -42,23 +60,20 @@ class PowerMonitor:
     def __init__(self, topology: PowerTopology, history_slots: int = 100_000) -> None:
         if history_slots <= 0:
             raise SimulationError("history_slots must be positive")
-        self._topology = topology
-        self._history_slots = history_slots
-        self._rack_series: dict[str, collections.deque[float]] = {
-            rack_id: collections.deque(maxlen=history_slots)
-            for rack_id in topology.racks
-        }
-        self._pdu_series: dict[str, collections.deque[float]] = {
-            pdu_id: collections.deque(maxlen=history_slots)
-            for pdu_id in topology.pdus
-        }
-        self._ups_series: collections.deque[float] = collections.deque(
-            maxlen=history_slots
-        )
-        # True (physical) rack series; materialised lazily on the first
+        self._layout = topology.layout
+        self._rack_rows = SlotRows(len(self._layout.rack_ids), history_slots)
+        self._pdu_rows = SlotRows(len(self._layout.pdu_ids), history_slots)
+        self._ups_rows = SlotRows(1, history_slots)
+        self._pdu_column = {pdu_id: j for j, pdu_id in enumerate(self._layout.pdu_ids)}
+        # True (physical) rack rows; materialised lazily on the first
         # slot whose metered samples diverge from the true draws.
-        self._true_rack_series: dict[str, collections.deque[float]] | None = None
+        self._true_rack_rows: SlotRows | None = None
         self._slots_recorded = 0
+
+    @property
+    def rack_ids(self) -> tuple[str, ...]:
+        """Column order of every rack row."""
+        return self._layout.rack_ids
 
     @property
     def slots_recorded(self) -> int:
@@ -72,6 +87,10 @@ class PowerMonitor:
     ) -> None:
         """Record one slot of rack power samples.
 
+        The whole sample is validated before anything is stored: a
+        rejected sample leaves every series and every ``Rack.power_w``
+        as it was.
+
         Args:
             rack_power_w: True physical power draw per rack id.  Every
                 rack in the topology must be present — partial telemetry
@@ -83,42 +102,91 @@ class PowerMonitor:
                 and energy accounting), while the true draws stay on the
                 topology and in the true-series shadow.
         """
-        missing = set(self._topology.racks) - set(rack_power_w)
-        if missing:
-            raise SimulationError(
-                f"missing power samples for racks: {sorted(missing)[:5]}"
-            )
-        metered = rack_power_w if metered_power_w is None else metered_power_w
-        if metered is not rack_power_w:
-            missing_meters = set(self._topology.racks) - set(metered)
-            if missing_meters:
+        layout = self._layout
+        index = layout.index
+        if rack_power_w.keys() != index.keys():
+            missing = set(layout.rack_ids) - set(rack_power_w)
+            if missing:
                 raise SimulationError(
-                    f"missing meter readings for racks: "
-                    f"{sorted(missing_meters)[:5]}"
+                    f"missing power samples for racks: {sorted(missing)[:5]}"
                 )
-            if self._true_rack_series is None and any(
-                metered[rid] != rack_power_w[rid] for rid in rack_power_w
-            ):
-                # First divergence: shadow the (identical so far) history.
-                self._true_rack_series = {
-                    rack_id: collections.deque(
-                        series, maxlen=self._history_slots
-                    )
-                    for rack_id, series in self._rack_series.items()
-                }
-        for rack_id, watts in rack_power_w.items():
-            if rack_id not in self._rack_series:
-                raise SimulationError(f"sample for unknown rack {rack_id!r}")
-            self._topology.rack(rack_id).record_power(watts)
-            self._rack_series[rack_id].append(float(metered[rack_id]))
-            if self._true_rack_series is not None:
-                self._true_rack_series[rack_id].append(float(watts))
-        for pdu_id, pdu in self._topology.pdus.items():
-            self._pdu_series[pdu_id].append(
-                sum(float(metered[rid]) for rid in pdu.rack_ids)
+            unknown = next(rack_id for rack_id in rack_power_w if rack_id not in index)
+            raise SimulationError(f"sample for unknown rack {unknown!r}")
+        metered = rack_power_w if metered_power_w is None else metered_power_w
+        if metered is not rack_power_w and not index.keys() <= metered.keys():
+            missing_meters = set(layout.rack_ids) - set(metered)
+            raise SimulationError(
+                f"missing meter readings for racks: {sorted(missing_meters)[:5]}"
             )
-        self._ups_series.append(sum(float(w) for w in metered.values()))
+        true_values = [rack_power_w[rack_id] for rack_id in layout.rack_ids]
+        true_row = np.array(true_values, dtype=float)
+        if (true_row < 0).any():
+            rack_id, watts = next(
+                (rid, w) for rid, w in rack_power_w.items() if w < 0
+            )
+            raise CapacityError(f"rack {rack_id}: negative power {watts} W")
+        if metered is rack_power_w:
+            metered_row = true_row
+        else:
+            metered_row = np.array(
+                [metered[rack_id] for rack_id in layout.rack_ids], dtype=float
+            )
+        ups_total = ordered_sum(np.fromiter(metered.values(), dtype=float))
+
+        if self._true_rack_rows is None and metered_row is not true_row:
+            if (metered_row != true_row).any():
+                # First divergence: shadow the (identical so far) history.
+                self._true_rack_rows = self._rack_rows.copy()
+        layout.record_powers(true_values)
+        self._rack_rows.append(metered_row)
+        if self._true_rack_rows is not None:
+            self._true_rack_rows.append(true_row)
+        self._pdu_rows.append(layout.pdu_totals(metered_row))
+        self._ups_rows.append(ups_total)
         self._slots_recorded += 1
+
+    # ------------------------------------------------------------------
+    # Row readers
+    # ------------------------------------------------------------------
+
+    def recent_max_w(self, window: int = 5, true: bool = False) -> np.ndarray:
+        """Every rack's maximum over its last ``window`` samples (0 before any).
+
+        Row-wise :meth:`rack_recent_max_w` (or, with ``true``,
+        :meth:`rack_recent_true_max_w`) for all racks at once, in
+        :attr:`rack_ids` order; reads only the last ``window`` rows.
+        """
+        if window <= 0:
+            raise SimulationError("window must be positive")
+        rows = self._rows(true)
+        if not len(rows):
+            return np.zeros(len(self._layout.rack_ids))
+        return _recent_max(rows.tail(window))
+
+    def recent_rows(self, window: int, level: str = "rack") -> np.ndarray:
+        """The last ``window`` rows (fewer early on) as a fresh array.
+
+        ``level`` is ``"rack"`` (metered, :attr:`rack_ids` order),
+        ``"pdu"`` (topology PDU order) or ``"ups"`` (one column).
+        """
+        if window <= 0:
+            raise SimulationError("window must be positive")
+        rows = {"rack": self._rack_rows, "pdu": self._pdu_rows, "ups": self._ups_rows}
+        try:
+            return rows[level].tail(window)
+        except KeyError:
+            raise SimulationError(f"unknown telemetry level {level!r}") from None
+
+    def latest_pdu_powers(self) -> dict[str, float]:
+        """Most recent aggregate draw per PDU, topology order (0 before any)."""
+        if not len(self._pdu_rows):
+            return dict.fromkeys(self._layout.pdu_ids, 0.0)
+        return dict(zip(self._layout.pdu_ids, self._pdu_rows.last().tolist()))
+
+    def _rows(self, true: bool) -> SlotRows:
+        if true and self._true_rack_rows is not None:
+            return self._true_rack_rows
+        return self._rack_rows
 
     # ------------------------------------------------------------------
     # Series accessors
@@ -126,15 +194,15 @@ class PowerMonitor:
 
     def rack_series(self, rack_id: str) -> np.ndarray:
         """Retained power series for one rack, oldest first."""
-        return np.asarray(self._rack_series[rack_id], dtype=float)
+        return self._rack_rows.column(self._layout.index[rack_id])
 
     def pdu_series(self, pdu_id: str) -> np.ndarray:
         """Retained aggregate power series for one PDU, oldest first."""
-        return np.asarray(self._pdu_series[pdu_id], dtype=float)
+        return self._pdu_rows.column(self._pdu_column[pdu_id])
 
     def ups_series(self) -> np.ndarray:
         """Retained facility-level power series, oldest first."""
-        return np.asarray(self._ups_series, dtype=float)
+        return self._ups_rows.column(0)
 
     def rack_recent_max_w(self, rack_id: str, window: int = 5) -> float:
         """Maximum of a rack's last ``window`` samples (0 before any).
@@ -143,13 +211,7 @@ class PowerMonitor:
         recently drew close to its budget may do so again next slot, so
         its recent peak is a safer reference than its instantaneous draw.
         """
-        if window <= 0:
-            raise SimulationError("window must be positive")
-        series = self._rack_series[rack_id]
-        if not series:
-            return 0.0
-        recent = list(series)[-window:]
-        return max(recent)
+        return self._rack_max(self._rack_rows, rack_id, window)
 
     def rack_recent_true_max_w(self, rack_id: str, window: int = 5) -> float:
         """Maximum of a rack's last ``window`` *true* samples.
@@ -159,23 +221,24 @@ class PowerMonitor:
         not from (possibly corrupted) meter readings.  Identical to
         :meth:`rack_recent_max_w` until a metered sample diverges.
         """
+        return self._rack_max(self._rows(True), rack_id, window)
+
+    def _rack_max(self, rows: SlotRows, rack_id: str, window: int) -> float:
         if window <= 0:
             raise SimulationError("window must be positive")
-        if self._true_rack_series is None:
-            return self.rack_recent_max_w(rack_id, window)
-        series = self._true_rack_series[rack_id]
-        if not series:
+        column = self._layout.index[rack_id]
+        if not len(rows):
             return 0.0
-        return max(list(series)[-window:])
+        return max(rows.column(column, window).tolist())
 
     def latest_pdu_power_w(self, pdu_id: str) -> float:
         """Most recent aggregate draw at a PDU (0 before any sample)."""
-        series = self._pdu_series[pdu_id]
-        return series[-1] if series else 0.0
+        column = self._pdu_column[pdu_id]
+        return float(self._pdu_rows.last()[column]) if len(self._pdu_rows) else 0.0
 
     def latest_ups_power_w(self) -> float:
         """Most recent facility draw (0 before any sample)."""
-        return self._ups_series[-1] if self._ups_series else 0.0
+        return float(self._ups_rows.last()[0]) if len(self._ups_rows) else 0.0
 
     # ------------------------------------------------------------------
     # Derived statistics (Fig. 7a)

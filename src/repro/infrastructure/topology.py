@@ -16,6 +16,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 
 from repro.errors import TopologyError
+from repro.infrastructure.layout import RackLayout
 from repro.infrastructure.pdu import Pdu
 from repro.infrastructure.rack import Rack
 from repro.infrastructure.ups import Ups
@@ -35,6 +36,7 @@ class PowerTopology:
         self.ups = ups
         self._pdus: dict[str, Pdu] = {}
         self._racks: dict[str, Rack] = {}
+        self._layout: RackLayout | None = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -58,6 +60,7 @@ class PowerTopology:
         if pdu.pdu_id in self._pdus:
             raise TopologyError(f"duplicate PDU id {pdu.pdu_id!r}")
         self._pdus[pdu.pdu_id] = pdu
+        self._layout = None
 
     def add_rack(self, rack: Rack) -> None:
         """Register a rack and attach it to its PDU."""
@@ -70,6 +73,7 @@ class PowerTopology:
             )
         pdu.attach_rack(rack.rack_id)
         self._racks[rack.rack_id] = rack
+        self._layout = None
 
     def validate(self) -> None:
         """Check global invariants; raises :class:`TopologyError` on failure."""
@@ -97,6 +101,13 @@ class PowerTopology:
     def racks(self) -> Mapping[str, Rack]:
         """All racks keyed by id (read-only view by convention)."""
         return self._racks
+
+    @property
+    def layout(self) -> RackLayout:
+        """The columnar rack order telemetry rows align to (built lazily)."""
+        if self._layout is None:
+            self._layout = RackLayout(self)
+        return self._layout
 
     def pdu(self, pdu_id: str) -> Pdu:
         """Look up a PDU by id."""

@@ -12,13 +12,18 @@ byte, so every array element must equal the scalar result exactly:
 * numpy's vectorised ``power`` may differ from the C library's ``pow``
   in the last place, so :func:`pow_each` raises element by element with
   Python's float ``**``.
+* ``np.sum`` adds a contiguous run of 8 or more values pairwise, not
+  left to right, and Python 3.12's ``sum()`` of floats is compensated.
+  Totals that must match an ``acc += x`` loop go through
+  :func:`ordered_sum` and :func:`segment_sums`, which are built on
+  ``np.add.accumulate`` and so always add in order.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["pow_each", "py_max", "py_min"]
+__all__ = ["ordered_sum", "pow_each", "py_max", "py_min", "segment_sums"]
 
 
 def py_min(a, b) -> np.ndarray:
@@ -36,3 +41,27 @@ def pow_each(x: np.ndarray, exponent: float) -> np.ndarray:
     values = np.asarray(x, dtype=float)
     flat = [u ** exponent for u in values.ravel().tolist()]
     return np.array(flat, dtype=float).reshape(values.shape)
+
+
+def ordered_sum(values) -> float:
+    """``acc = 0.0; for x in values: acc += x``, added left to right."""
+    values = np.asarray(values, dtype=float)
+    if values.size == 0:
+        return 0.0
+    # ``0.0 +`` gives an all-zero total the sign the loop's 0.0 start gives.
+    return 0.0 + float(np.add.accumulate(values)[-1])
+
+
+def segment_sums(values: np.ndarray, gather: np.ndarray) -> np.ndarray:
+    """Left-to-right sums of ``values`` over the columns of a gather block.
+
+    ``gather`` is a ``(widest segment, segments)`` block of indices into
+    ``values``; column ``j`` lists segment ``j``'s elements in order and
+    is padded with ``len(values)``, which reads a trailing ``0.0``.
+    Each column adds like ``acc = 0.0; for x in segment: acc += x``.
+    ``np.add.reduce`` over axis 0 would too, except that a one-column
+    block collapses into a contiguous run and is summed pairwise;
+    ``accumulate`` never reorders.
+    """
+    padded = np.append(np.asarray(values, dtype=float), 0.0)
+    return np.add.accumulate(padded[gather], axis=0)[-1] + 0.0

@@ -23,8 +23,11 @@ from __future__ import annotations
 import dataclasses
 from collections.abc import Iterable, Mapping
 
+import numpy as np
+
 from repro.errors import ConfigurationError
 from repro.infrastructure.topology import PowerTopology
+from repro.power.elementwise import ordered_sum, py_max, py_min
 
 __all__ = ["SpotCapacityForecast", "SpotCapacityPredictor"]
 
@@ -82,9 +85,14 @@ class SpotCapacityPredictor:
         self,
         topology: PowerTopology,
         requesting_rack_ids: Iterable[str],
-        reference_power_w: Mapping[str, float] | None = None,
+        reference_power_w: Mapping[str, float] | np.ndarray | None = None,
     ) -> SpotCapacityForecast:
         """Predict per-PDU and UPS spot capacity for the next slot.
+
+        The arithmetic is columnar over ``topology.layout`` but adds
+        exactly as the per-rack rule reads: each PDU's reference sums
+        its racks in ``pdu.rack_ids`` order, the facility's sums the
+        PDUs in topology order.
 
         Args:
             topology: Facility with current rack power samples recorded.
@@ -94,36 +102,47 @@ class SpotCapacityPredictor:
             reference_power_w: Optional per-rack reference overriding the
                 instantaneous draw of non-requesting racks — e.g. a
                 rolling recent maximum
-                (:meth:`repro.infrastructure.monitor.PowerMonitor.rack_recent_max_w`)
+                (:meth:`repro.infrastructure.monitor.PowerMonitor.recent_max_w`)
                 that covers racks whose draw can ramp within one slot.
-                Entries are clamped to the rack's guaranteed capacity
-                (a non-requesting rack never exceeds its budget).
+                Either a mapping (racks it omits fall back to their
+                draw) or an array in ``topology.racks`` order.  Entries
+                are clamped to the rack's guaranteed capacity (a
+                non-requesting rack never exceeds its budget).
         """
+        layout = topology.layout
         requesting = set(requesting_rack_ids)
-        unknown = requesting - set(topology.racks)
+        unknown = [rack_id for rack_id in requesting if rack_id not in layout.index]
         if unknown:
             raise ConfigurationError(
                 f"requesting racks not in topology: {sorted(unknown)[:5]}"
             )
-        reference_power_w = reference_power_w or {}
+        if reference_power_w is None:
+            reference = layout.power_row()
+        elif isinstance(reference_power_w, np.ndarray):
+            reference = reference_power_w
+            if reference.shape != layout.guaranteed_w.shape:
+                raise ConfigurationError(
+                    f"reference row has shape {reference.shape}, topology has "
+                    f"{len(layout.racks)} racks"
+                )
+        else:
+            reference = np.array(
+                [
+                    reference_power_w.get(rack.rack_id, rack.power_w)
+                    for rack in layout.racks
+                ],
+                dtype=float,
+            )
+        guaranteed = layout.guaranteed_w
+        held = layout.mask(requesting) | (layout.spot_row() > 0)
+        rack_reference = np.where(held, guaranteed, py_min(reference, guaranteed))
+        pdu_reference = layout.pdu_totals(rack_reference)
+        total_reference = ordered_sum(pdu_reference)
         usable = 1.0 - self.safety_margin_fraction
-        pdu_spot: dict[str, float] = {}
-        total_reference = 0.0
-        for pdu_id, pdu in topology.pdus.items():
-            reference = 0.0
-            for rack in topology.racks_of_pdu(pdu_id):
-                if rack.rack_id in requesting or rack.spot_budget_w > 0:
-                    reference += rack.guaranteed_w
-                else:
-                    reference += min(
-                        reference_power_w.get(rack.rack_id, rack.power_w),
-                        rack.guaranteed_w,
-                    )
-            total_reference += reference
-            headroom = max(0.0, pdu.capacity_w * usable - reference)
-            pdu_spot[pdu_id] = headroom * self.under_prediction_factor
+        headroom = py_max(0.0, layout.pdu_capacity_row() * usable - pdu_reference)
+        pdu_spot = headroom * self.under_prediction_factor
         ups_headroom = max(0.0, topology.ups.capacity_w * usable - total_reference)
         return SpotCapacityForecast(
-            pdu_spot_w=pdu_spot,
+            pdu_spot_w=dict(zip(layout.pdu_ids, pdu_spot.tolist())),
             ups_spot_w=ups_headroom * self.under_prediction_factor,
         )

@@ -21,7 +21,10 @@ crash, not a deploy), so a version mismatch raises
 :class:`~repro.errors.RecoveryError` and the run must restart from
 slot 0.  The header is read without resolving any class, so a file from
 an older layout — formats 1-2 pickled header and engine as one dict —
-is refused by its version before its engine is ever unpickled.  Writes
+is refused by its version before its engine is ever unpickled.  Format
+5 changed what every checkpoint pickles: the monitor's and the metrics
+collector's telemetry became one float64 row per slot, so a format-4
+file is refused like any other mismatch.  Writes
 are atomic (temp file + :func:`os.replace`) so a crash
 *during* checkpointing leaves the previous checkpoint intact.
 """
@@ -51,7 +54,10 @@ __all__ = [
 #: sharding knobs and ``PduBlock`` moved to :mod:`repro.core.frame`.
 #: 4: frames and blocks dropped their ``breakpoints`` column and the
 #: frame its per-PDU slice cache.
-CHECKPOINT_FORMAT = 4
+#: 5: the power monitor and the metrics collector store one row per slot
+#: (:class:`~repro.infrastructure.layout.SlotRows`) and the topology
+#: carries its :class:`~repro.infrastructure.layout.RackLayout`.
+CHECKPOINT_FORMAT = 5
 
 _MAGIC = "spotdc-checkpoint"
 _NAME_RE = re.compile(r"^checkpoint_(\d{6,})\.pkl$")

@@ -702,12 +702,14 @@ class SimulationEngine:
                 revoked_this_slot = 0
                 revoked_watts = 0.0
                 if self.degradation is not None:
-                    true_references = {
-                        rack_id: self.monitor.rack_recent_true_max_w(
-                            rack_id, self.reference_window
+                    true_references = dict(
+                        zip(
+                            self.monitor.rack_ids,
+                            self.monitor.recent_max_w(
+                                self.reference_window, true=True
+                            ).tolist(),
                         )
-                        for rack_id in topology.racks
-                    }
+                    )
                     record = self.degradation.enforce(
                         topology,
                         record,
@@ -752,12 +754,13 @@ class SimulationEngine:
                 # as set on the rack PDUs, which is where lost/stale
                 # deliveries and degradation-control revocations are
                 # visible.
+                # One facility-wide map: every tenant reads its own racks.
+                budgets = {
+                    rack_id: rack.budget_w
+                    for rack_id, rack in topology.racks.items()
+                }
                 outcomes: dict[str, SlotPerformance] = {}
                 for tenant in scenario.tenants:
-                    budgets = {
-                        rack.rack_id: topology.rack(rack.rack_id).budget_w
-                        for rack in tenant.racks
-                    }
                     outcomes.update(
                         tenant.execute_slot(slot, budgets, slot_seconds)
                     )
@@ -819,10 +822,7 @@ class SimulationEngine:
                     forecast_ups_w=forecast.ups_spot_w,
                     forecast_pdu_total_w=forecast.total_pdu_spot_w,
                     ups_power_w=self.monitor.latest_ups_power_w(),
-                    pdu_power_w={
-                        p: self.monitor.latest_pdu_power_w(p)
-                        for p in topology.pdus
-                    },
+                    pdu_power_w=self.monitor.latest_pdu_powers(),
                     rack_outcomes=outcomes,
                     payments=payments,
                     wanted_rack_ids=requesting,

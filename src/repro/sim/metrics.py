@@ -6,18 +6,30 @@ records exactly the quantities the paper's evaluation plots: market
 price and grants (Fig. 10), per-rack performance (Fig. 11), payments and
 energy (Fig. 12), PDU/UPS power (Fig. 13), and forecast spot capacity
 (Figs. 14-15).
+
+Per-rack, per-PDU and per-tenant series are stored columnar
+(:class:`~repro.infrastructure.layout.SlotRows`): one row per slot,
+aligned to the collector's id order.  Column accessors return fresh,
+C-contiguous arrays, so ``.sum()`` on them adds in the same order as on
+an array built from a per-id list.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
+from operator import attrgetter
 
 import numpy as np
 
 from repro.errors import SimulationError
+from repro.infrastructure.layout import SlotRows
 from repro.workloads.base import SlotPerformance
 
 __all__ = ["MetricsCollector"]
+
+_power_of = attrgetter("power_w")
+_value_of = attrgetter("value")
+_slo_of = attrgetter("slo_violated")
 
 
 class MetricsCollector:
@@ -40,14 +52,17 @@ class MetricsCollector:
         self._forecast_ups: list[float] = []
         self._forecast_pdu_total: list[float] = []
         self._ups_power: list[float] = []
-        self._pdu_power: dict[str, list[float]] = {p: [] for p in pdu_ids}
-        self._pdu_price: dict[str, list[float]] = {p: [] for p in pdu_ids}
-        self._rack_power: dict[str, list[float]] = {r: [] for r in rack_ids}
-        self._rack_perf: dict[str, list[float]] = {r: [] for r in rack_ids}
-        self._rack_wanted: dict[str, list[bool]] = {r: [] for r in rack_ids}
-        self._rack_granted: dict[str, list[float]] = {r: [] for r in rack_ids}
-        self._rack_slo_violation: dict[str, list[bool]] = {r: [] for r in rack_ids}
-        self._tenant_payment: dict[str, list[float]] = {t: [] for t in tenant_ids}
+        self._rack_column = {r: i for i, r in enumerate(self.rack_ids)}
+        self._pdu_column = {p: j for j, p in enumerate(self.pdu_ids)}
+        self._tenant_column = {t: k for k, t in enumerate(self.tenant_ids)}
+        self._pdu_power = SlotRows(len(self.pdu_ids))
+        self._pdu_price = SlotRows(len(self.pdu_ids))
+        self._rack_power = SlotRows(len(self.rack_ids))
+        self._rack_perf = SlotRows(len(self.rack_ids))
+        self._rack_wanted = SlotRows(len(self.rack_ids), dtype=bool)
+        self._rack_granted = SlotRows(len(self.rack_ids))
+        self._rack_slo_violation = SlotRows(len(self.rack_ids), dtype=bool)
+        self._tenant_payment = SlotRows(len(self.tenant_ids))
         self._slots = 0
 
     @property
@@ -78,11 +93,13 @@ class MetricsCollector:
         budget would bias performance averages toward under-granted
         slots).
         """
-        missing = set(self.rack_ids) - set(rack_outcomes)
-        if missing:
+        try:
+            outcomes = [rack_outcomes[rack_id] for rack_id in self.rack_ids]
+        except KeyError:
+            missing = set(self.rack_ids) - set(rack_outcomes)
             raise SimulationError(
                 f"missing outcomes for racks {sorted(missing)[:5]}"
-            )
+            ) from None
         self._price.append(price)
         self._spot_granted.append(sum(grants_w.values()))
         self._spot_revenue.append(spot_revenue)
@@ -90,21 +107,36 @@ class MetricsCollector:
         self._forecast_pdu_total.append(forecast_pdu_total_w)
         self._ups_power.append(ups_power_w)
         pdu_prices = pdu_prices or {}
-        for pdu_id in self.pdu_ids:
-            self._pdu_power[pdu_id].append(pdu_power_w.get(pdu_id, 0.0))
-            # Under locational pricing each PDU has its own price; under
-            # a facility-wide price every PDU shares the headline price.
-            self._pdu_price[pdu_id].append(pdu_prices.get(pdu_id, price))
-        for rack_id in self.rack_ids:
-            outcome = rack_outcomes[rack_id]
-            self._rack_power[rack_id].append(outcome.power_w)
-            self._rack_perf[rack_id].append(outcome.value)
-            self._rack_wanted[rack_id].append(rack_id in wanted_rack_ids)
-            self._rack_granted[rack_id].append(grants_w.get(rack_id, 0.0))
-            self._rack_slo_violation[rack_id].append(outcome.slo_violated)
-        for tenant_id in self.tenant_ids:
-            self._tenant_payment[tenant_id].append(payments.get(tenant_id, 0.0))
+        self._pdu_power.append([pdu_power_w.get(p, 0.0) for p in self.pdu_ids])
+        # Under locational pricing each PDU has its own price; under a
+        # facility-wide price every PDU shares the headline price.
+        self._pdu_price.append([pdu_prices.get(p, price) for p in self.pdu_ids])
+        self._rack_power.append(list(map(_power_of, outcomes)))
+        self._rack_perf.append(list(map(_value_of, outcomes)))
+        self._rack_slo_violation.append(list(map(_slo_of, outcomes)))
+        self._rack_wanted.append(
+            self._scatter(self._rack_column, ((r, True) for r in wanted_rack_ids), bool)
+        )
+        self._rack_granted.append(
+            self._scatter(self._rack_column, grants_w.items(), float)
+        )
+        self._tenant_payment.append(
+            self._scatter(self._tenant_column, payments.items(), float)
+        )
         self._slots += 1
+
+    @staticmethod
+    def _scatter(columns: Mapping[str, int], items, dtype) -> np.ndarray:
+        """A row that is zero except at the ``(id, value)`` pairs given.
+
+        Ids outside ``columns`` are ignored.
+        """
+        row = np.zeros(len(columns), dtype=dtype)
+        for key, value in items:
+            column = columns.get(key)
+            if column is not None:
+                row[column] = value
+        return row
 
     # ------------------------------------------------------------------
     # Finalised arrays
@@ -136,32 +168,32 @@ class MetricsCollector:
 
     def pdu_power_array(self, pdu_id: str) -> np.ndarray:
         """One PDU's draw per slot, watts."""
-        return np.asarray(self._pdu_power[pdu_id])
+        return self._pdu_power.column(self._pdu_column[pdu_id])
 
     def pdu_price_array(self, pdu_id: str) -> np.ndarray:
         """One PDU's clearing price per slot, $/kW/h."""
-        return np.asarray(self._pdu_price[pdu_id])
+        return self._pdu_price.column(self._pdu_column[pdu_id])
 
     def rack_power_array(self, rack_id: str) -> np.ndarray:
         """One rack's draw per slot, watts."""
-        return np.asarray(self._rack_power[rack_id])
+        return self._rack_power.column(self._rack_column[rack_id])
 
     def rack_perf_array(self, rack_id: str) -> np.ndarray:
         """One rack's performance metric per slot."""
-        return np.asarray(self._rack_perf[rack_id])
+        return self._rack_perf.column(self._rack_column[rack_id])
 
     def rack_wanted_array(self, rack_id: str) -> np.ndarray:
         """Whether the rack wanted spot capacity, per slot."""
-        return np.asarray(self._rack_wanted[rack_id], dtype=bool)
+        return self._rack_wanted.column(self._rack_column[rack_id])
 
     def rack_granted_array(self, rack_id: str) -> np.ndarray:
         """Spot watts granted to the rack per slot."""
-        return np.asarray(self._rack_granted[rack_id])
+        return self._rack_granted.column(self._rack_column[rack_id])
 
     def rack_slo_violation_array(self, rack_id: str) -> np.ndarray:
         """SLO-violation flags per slot (interactive racks only)."""
-        return np.asarray(self._rack_slo_violation[rack_id], dtype=bool)
+        return self._rack_slo_violation.column(self._rack_column[rack_id])
 
     def tenant_payment_array(self, tenant_id: str) -> np.ndarray:
         """Spot payments per slot for one tenant, dollars."""
-        return np.asarray(self._tenant_payment[tenant_id])
+        return self._tenant_payment.column(self._tenant_column[tenant_id])

@@ -10,9 +10,15 @@ maximises ``price x total demand`` (Eq. 1).  The operator policies the
 engine layers on top — breakpoint-augmented grids with tolerance
 dedupe, bid admission, per-PDU apportioning of the UPS headroom and of
 heat zones, settlement — are transcribed here the same plain way.
+
+The second half holds the per-rack telemetry code the columnar rack
+store (:mod:`repro.infrastructure.layout`) replaced.
 """
 
+import collections
 import math
+
+import numpy as np
 
 from repro.core.allocation import AllocationResult
 from repro.infrastructure.constraints import CapacityConstraint
@@ -186,3 +192,113 @@ def settle(result, bids, slot_seconds):
         dollars = grant / 1000.0 * result.price_for_pdu(b.pdu_id) * (slot_seconds / 3600.0)
         payments[b.tenant_id] = payments.get(b.tenant_id, 0.0) + dollars
     return payments
+
+
+# ----------------------------------------------------------------------
+# Rack telemetry, one rack at a time
+#
+# Per-rack deques and lists with every total added by ``in_order``: the
+# parity oracles for the columnar monitor, predictor, emergency scan and
+# metrics collector.  ``sum()`` is avoided on purpose — Python 3.12 sums
+# floats with compensation.
+# ----------------------------------------------------------------------
+
+
+class ScalarMonitor:
+    """Per-rack history deques and per-PDU / UPS totals."""
+
+    def __init__(self, topology, history_slots):
+        self.topology = topology
+        self.history_slots = history_slots
+        self.rack = {r: collections.deque(maxlen=history_slots) for r in topology.racks}
+        self.pdu = {p: collections.deque(maxlen=history_slots) for p in topology.pdus}
+        self.ups = collections.deque(maxlen=history_slots)
+        self.true = None
+
+    def record(self, rack_power_w, metered_power_w=None):
+        metered = rack_power_w if metered_power_w is None else metered_power_w
+        if self.true is None and any(metered[r] != rack_power_w[r] for r in rack_power_w):
+            self.true = {
+                r: collections.deque(series, maxlen=self.history_slots)
+                for r, series in self.rack.items()
+            }
+        for rack_id, watts in rack_power_w.items():
+            self.rack[rack_id].append(float(metered[rack_id]))
+            if self.true is not None:
+                self.true[rack_id].append(float(watts))
+        for pdu_id, pdu in self.topology.pdus.items():
+            self.pdu[pdu_id].append(in_order(float(metered[r]) for r in pdu.rack_ids))
+        self.ups.append(in_order(float(w) for w in metered.values()))
+
+    def recent_max(self, rack_id, window, true=False):
+        series = (self.true if true and self.true is not None else self.rack)[rack_id]
+        return max(list(series)[-window:]) if series else 0.0
+
+
+def spot_forecast(topology, requesting, reference_power_w, factor, margin):
+    """Section III-C per rack: ``(pdu_spot_w, ups_spot_w)``."""
+    requesting = set(requesting)
+    reference_power_w = reference_power_w or {}
+    usable = 1.0 - margin
+    pdu_spot = {}
+    total_reference = 0.0
+    for pdu_id, pdu in topology.pdus.items():
+        reference = 0.0
+        for rack_id in pdu.rack_ids:
+            rack = topology.racks[rack_id]
+            if rack_id in requesting or rack.spot_budget_w > 0:
+                reference += rack.guaranteed_w
+            else:
+                reference += min(
+                    reference_power_w.get(rack_id, rack.power_w), rack.guaranteed_w
+                )
+        total_reference += reference
+        pdu_spot[pdu_id] = max(0.0, pdu.capacity_w * usable - reference) * factor
+    ups = max(0.0, topology.ups.capacity_w * usable - total_reference) * factor
+    return pdu_spot, ups
+
+
+def emergencies(topology, slot, tolerance):
+    """Every excursion as ``(slot, level, unit_id, capacity_w, power_w)``."""
+    found = []
+    for rack in topology.racks.values():
+        if rack.power_w > rack.budget_w * (1 + tolerance):
+            found.append((slot, "rack", rack.rack_id, rack.budget_w, rack.power_w))
+    for pdu_id, pdu in topology.pdus.items():
+        power = in_order(topology.racks[r].power_w for r in pdu.rack_ids)
+        if power > pdu.capacity_w * (1 + tolerance):
+            found.append((slot, "pdu", pdu_id, pdu.capacity_w, power))
+    ups = in_order(r.power_w for r in topology.racks.values())
+    if ups > topology.ups.capacity_w * (1 + tolerance):
+        found.append((slot, "ups", topology.ups.ups_id, topology.ups.capacity_w, ups))
+    return found
+
+
+class ScalarCollector:
+    """Per-id lists, read back as ``np.asarray`` like the original collector."""
+
+    def __init__(self, rack_ids, pdu_ids, tenant_ids):
+        self.rack_ids, self.pdu_ids, self.tenant_ids = rack_ids, pdu_ids, tenant_ids
+        self.series = collections.defaultdict(list)
+
+    def record(self, price, grants_w, ups_power_w, pdu_power_w, rack_outcomes,
+               payments, wanted_rack_ids, pdu_prices):
+        s = self.series
+        s["price"].append(price)
+        s["ups"].append(ups_power_w)
+        for p in self.pdu_ids:
+            s["pdu_power", p].append(pdu_power_w.get(p, 0.0))
+            s["pdu_price", p].append((pdu_prices or {}).get(p, price))
+        for r in self.rack_ids:
+            outcome = rack_outcomes[r]
+            s["rack_power", r].append(outcome.power_w)
+            s["rack_perf", r].append(outcome.value)
+            s["rack_wanted", r].append(r in wanted_rack_ids)
+            s["rack_granted", r].append(grants_w.get(r, 0.0))
+            s["rack_slo_violation", r].append(outcome.slo_violated)
+        for t in self.tenant_ids:
+            s["tenant_payment", t].append(payments.get(t, 0.0))
+
+    def array(self, name, key):
+        dtype = bool if name in ("rack_wanted", "rack_slo_violation") else None
+        return np.asarray(self.series[name, key], dtype=dtype)

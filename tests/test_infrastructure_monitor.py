@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.errors import SimulationError
+from repro.errors import CapacityError, SimulationError
 from repro.infrastructure.monitor import PowerMonitor
 from repro.infrastructure.pdu import Pdu
 from repro.infrastructure.rack import Rack
 from repro.infrastructure.topology import PowerTopology
 from repro.infrastructure.ups import Ups
+from repro.sim.scenario import scaled_scenario
 
 
 @pytest.fixture
@@ -70,6 +71,49 @@ class TestRecording:
         monitor = PowerMonitor(topology)
         assert monitor.latest_ups_power_w() == 0.0
         assert monitor.latest_pdu_power_w("p1") == 0.0
+
+
+class TestRejectedSampleLeavesNoTrace:
+    """A sample that fails validation must not touch any state."""
+
+    @staticmethod
+    def snapshot(monitor, topology):
+        return (
+            monitor.slots_recorded,
+            {r: monitor.rack_series(r).tolist() for r in topology.racks},
+            {p: monitor.pdu_series(p).tolist() for p in topology.pdus},
+            monitor.ups_series().tolist(),
+            {r: rack.power_w for r, rack in topology.racks.items()},
+        )
+
+    @pytest.mark.parametrize(
+        "corrupt, error",
+        [
+            # An unknown id after every known rack: the known racks come
+            # first in the mapping, so an append-as-you-go monitor would
+            # already have stored them.
+            (lambda sample: {**sample, "ghost": 5.0}, SimulationError),
+            (lambda sample: {**sample, list(sample)[-1]: -1.0}, CapacityError),
+        ],
+        ids=["unknown-rack", "negative-draw"],
+    )
+    def test_bad_sample_changes_nothing(self, corrupt, error):
+        topology = scaled_scenario(groups=1).topology
+        monitor = PowerMonitor(topology)
+        monitor.record_slot({r: 100.0 for r in topology.racks})
+        before = self.snapshot(monitor, topology)
+        with pytest.raises(error):
+            monitor.record_slot(corrupt({r: 250.0 for r in topology.racks}))
+        assert self.snapshot(monitor, topology) == before
+
+    def test_missing_meter_changes_nothing(self):
+        topology = scaled_scenario(groups=1).topology
+        monitor = PowerMonitor(topology)
+        before = self.snapshot(monitor, topology)
+        sample = {r: 250.0 for r in topology.racks}
+        with pytest.raises(SimulationError, match="meter"):
+            monitor.record_slot(sample, dict(list(sample.items())[1:]))
+        assert self.snapshot(monitor, topology) == before
 
 
 class TestRecentMax:

@@ -199,7 +199,17 @@ class TestCheckpointEnvelope:
         with pytest.raises(AttributeError):
             pickle.loads(format2)
 
-        for name, data in (("old", envelope(-1, None)), ("v2", format2)):
+        # Format 4 already wrote the header and the engine as two
+        # pickles; its engine pickled per-rack telemetry series.
+        format4 = pickle.dumps(
+            {"magic": "spotdc-checkpoint", "format": 4, "slot": 3, "horizon": 10}
+        ) + pickle.dumps(None)
+
+        for name, data in (
+            ("old", envelope(-1, None)),
+            ("v2", format2),
+            ("v4", format4),
+        ):
             path = tmp_path / f"{name}.pkl"
             path.write_bytes(data)
             with pytest.raises(RecoveryError, match="has format") as exc:
