@@ -6,7 +6,7 @@ Three jobs:
   promise: the default ``CurrentDrawSignal`` + point release — the one
   forecast-producing path the engine now has — costs < 2% wall time
   versus the pre-refactor inline rule (reference dict comprehension
-  straight into ``SpotCapacityPredictor.forecast``), reconstructed here
+  straight into the ``Signal.headroom`` rule), reconstructed here
   verbatim.  Timed on a synthetic facility large enough that the
   per-call reference work dominates timer noise.  Writes
   ``results/BENCH_forecast.json`` so the predict phase accumulates a
@@ -41,7 +41,6 @@ from repro.infrastructure.pdu import Pdu
 from repro.infrastructure.rack import Rack
 from repro.infrastructure.topology import PowerTopology
 from repro.infrastructure.ups import Ups
-from repro.prediction.spot import SpotCapacityPredictor
 from repro.telemetry import write_summary_json
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
@@ -109,7 +108,6 @@ def test_default_signal_predict_overhead(archive):
 
     signal = CurrentDrawSignal()
     policy = RiskAwareReleasePolicy(None)
-    predictor = SpotCapacityPredictor()
     window = signal.window
 
     def signal_path():
@@ -122,7 +120,7 @@ def test_default_signal_predict_overhead(archive):
             rid: monitor.rack_recent_max_w(rid, window)
             for rid in topology.racks
         }
-        return predictor.forecast(topology, requesting, references)
+        return signal.headroom(topology, requesting, references)
 
     assert signal_path() == inline_path()  # identical maths, and a warm-up
     inline_s, signal_s = _best_batch_seconds(inline_path, signal_path)

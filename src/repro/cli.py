@@ -235,50 +235,50 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _apply_prediction_args(scenario, args: argparse.Namespace):
-    """Apply ``--predictor``/``--risk-quantile`` to an operator scenario."""
-    import dataclasses
+def _operator_scenario(args: argparse.Namespace):
+    """The testbed scenario shaped by the shared operator flags.
 
-    from repro.errors import ConfigurationError
-    from repro.forecast import PredictionProfile
-
-    if args.predictor is None and args.risk_quantile is None:
-        return scenario
-    try:
-        profile = PredictionProfile(
-            signal=args.predictor or "current_draw",
-            risk_quantile=args.risk_quantile,
-        )
-    except ConfigurationError as exc:
-        print(f"invalid prediction flags: {exc}", file=sys.stderr)
-        raise SystemExit(2) from exc
-    return dataclasses.replace(scenario, prediction=profile)
-
-
-def _apply_event_args(scenario, args: argparse.Namespace):
-    """Apply ``--event-schedule``/``--wholesale-trace`` to a scenario."""
+    Prediction (``--predictor``/``--risk-quantile``), grid-event
+    (``--event-schedule``/``--wholesale-trace``) and fault
+    (``--fault-profile``/``--fault-intensity``/``--crash-at``) flags all
+    land on the scenario, so ``simulate`` and ``serve`` build the same
+    engine from the same flags.  Invalid values exit 2 with a message.
+    """
     import dataclasses
 
     from repro.errors import ConfigurationError
     from repro.events import EventProfile, wholesale_trace_from_file
+    from repro.forecast import PredictionProfile
     from repro.scenarios import event_profile_from_file
+    from repro.sim.scenario import testbed_scenario
 
-    if args.event_schedule is None and args.wholesale_trace is None:
-        return scenario
+    changes = {}
     try:
-        profile = None
-        if args.event_schedule is not None:
-            profile = event_profile_from_file(args.event_schedule)
-        if args.wholesale_trace is not None:
-            trace = wholesale_trace_from_file(args.wholesale_trace)
-            profile = dataclasses.replace(
-                profile if profile is not None else EventProfile(),
-                wholesale_trace=trace,
+        if args.predictor is not None or args.risk_quantile is not None:
+            changes["prediction"] = PredictionProfile(
+                signal=args.predictor or "current_draw",
+                risk_quantile=args.risk_quantile,
             )
+        if args.event_schedule is not None or args.wholesale_trace is not None:
+            events = (
+                event_profile_from_file(args.event_schedule)
+                if args.event_schedule is not None
+                else EventProfile()
+            )
+            if args.wholesale_trace is not None:
+                trace = wholesale_trace_from_file(args.wholesale_trace)
+                events = dataclasses.replace(events, wholesale_trace=trace)
+            changes["events"] = events
     except (ConfigurationError, OSError) as exc:
-        print(f"invalid event flags: {exc}", file=sys.stderr)
+        print(f"invalid operator flags: {exc}", file=sys.stderr)
         raise SystemExit(2) from exc
-    return dataclasses.replace(scenario, events=profile)
+    if args.fault_profile != "none" or args.crash_at is not None:
+        faults = FaultProfile.named(args.fault_profile, args.fault_intensity)
+        if args.crash_at is not None:
+            faults = dataclasses.replace(faults, crash_at_slot=args.crash_at)
+        changes["fault_profile"] = faults
+    scenario = testbed_scenario(seed=args.seed)
+    return dataclasses.replace(scenario, **changes) if changes else scenario
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -287,7 +287,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     from repro.errors import OperatorCrash, RecoveryError
     from repro.recovery import latest_checkpoint
     from repro.sim.engine import run_simulation
-    from repro.sim.scenario import testbed_scenario
 
     if args.checkpoint_every is not None and args.checkpoint_dir is None:
         print("--checkpoint-every requires --checkpoint-dir", file=sys.stderr)
@@ -308,22 +307,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             )
             return 2
 
-    scenario = testbed_scenario(seed=args.seed)
+    scenario = _operator_scenario(args)
     if args.clearing_deadline is not None:
         scenario = dataclasses.replace(
             scenario, clearing_deadline_s=args.clearing_deadline
         )
-    scenario = _apply_prediction_args(scenario, args)
-    scenario = _apply_event_args(scenario, args)
-    fault_profile = None
-    if args.fault_profile != "none" or args.crash_at is not None:
-        fault_profile = FaultProfile.named(
-            args.fault_profile, args.fault_intensity
-        )
-        if args.crash_at is not None:
-            fault_profile = dataclasses.replace(
-                fault_profile, crash_at_slot=args.crash_at
-            )
 
     config = None
     previous = None
@@ -336,7 +324,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         result = run_simulation(
             scenario,
             slots=args.slots,
-            fault_profile=fault_profile,
             checkpoint_every=args.checkpoint_every,
             checkpoint_dir=args.checkpoint_dir,
             resume_from=resume_from,
@@ -396,8 +383,6 @@ def _print_profile(trace) -> None:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    import dataclasses
-
     from repro.daemon.server import serve
     from repro.errors import (
         ConfigurationError,
@@ -405,20 +390,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         OperatorCrash,
         RecoveryError,
     )
-    from repro.sim.scenario import testbed_scenario
 
-    scenario = testbed_scenario(seed=args.seed)
-    scenario = _apply_prediction_args(scenario, args)
-    scenario = _apply_event_args(scenario, args)
-    if args.fault_profile != "none" or args.crash_at is not None:
-        fault_profile = FaultProfile.named(
-            args.fault_profile, args.fault_intensity
-        )
-        if args.crash_at is not None:
-            fault_profile = dataclasses.replace(
-                fault_profile, crash_at_slot=args.crash_at
-            )
-        scenario = dataclasses.replace(scenario, fault_profile=fault_profile)
+    scenario = _operator_scenario(args)
 
     config = None
     previous = None
@@ -802,6 +775,60 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     return 0
 
 
+def _operator_flags(slots: int) -> argparse.ArgumentParser:
+    """Parent parser for the flags that shape the operator's scenario.
+
+    ``simulate`` and ``serve`` share these (see :func:`_operator_scenario`);
+    each builds its own copy so that each keeps its own ``--slots``
+    default.
+    """
+    operator = argparse.ArgumentParser(add_help=False)
+    operator.add_argument("--seed", type=int, default=None)
+    operator.add_argument("--slots", type=int, default=slots)
+    operator.add_argument(
+        "--predictor", choices=SIGNAL_NAMES, default=None,
+        help="forecasting signal for the predict phase "
+        "(default: the paper's current-draw rule)",
+    )
+    operator.add_argument(
+        "--risk-quantile", type=float, default=None, metavar="Q",
+        help="release spot capacity at this overcommit quantile of the "
+        "signal's confidence band, in (0, 1] (default: point forecast)",
+    )
+    operator.add_argument(
+        "--fault-profile", choices=FAULT_CLASSES, default="none",
+        help="inject a named fault class into the slot loop",
+    )
+    operator.add_argument(
+        "--fault-intensity", type=float, default=0.1,
+        help="intensity of the injected fault class, in [0, 1]",
+    )
+    operator.add_argument(
+        "--crash-at", type=int, default=None, metavar="SLOT",
+        help="inject an operator crash (clean OperatorCrash, exit 3) at "
+        "this slot (exercise recovery)",
+    )
+    operator.add_argument(
+        "--event-schedule", default=None, metavar="FILE",
+        help="grid-event schedule file (the scenario 'events' component "
+        "as standalone JSON/YAML): EDR shocks, price spikes, cascades",
+    )
+    operator.add_argument(
+        "--wholesale-trace", default=None, metavar="FILE",
+        help="wholesale price trace (JSON array or one price per line) "
+        "that the reserve price tracks during price events",
+    )
+    operator.add_argument(
+        "--telemetry", action="store_true",
+        help="record a span trace, metrics dump, and summary JSON",
+    )
+    operator.add_argument(
+        "--telemetry-dir", default="telemetry",
+        help="directory for telemetry artifacts (default: ./telemetry)",
+    )
+    return operator
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument parser (exposed for testing)."""
     parser = argparse.ArgumentParser(
@@ -840,21 +867,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     simulate = sub.add_parser(
         "simulate",
+        parents=[_operator_flags(slots=500)],
         help="one operator run of the testbed, with checkpoint/resume",
-    )
-    simulate.add_argument("--seed", type=int, default=None)
-    simulate.add_argument("--slots", type=int, default=500)
-    simulate.add_argument(
-        "--fault-profile", choices=FAULT_CLASSES, default="none",
-        help="inject a named fault class into the run",
-    )
-    simulate.add_argument(
-        "--fault-intensity", type=float, default=0.1,
-        help="intensity of the injected fault class, in [0, 1]",
-    )
-    simulate.add_argument(
-        "--crash-at", type=int, default=None, metavar="SLOT",
-        help="inject an operator crash at this slot (exercise recovery)",
     )
     simulate.add_argument(
         "--checkpoint-every", type=int, default=None, metavar="K",
@@ -874,46 +888,17 @@ def build_parser() -> argparse.ArgumentParser:
         help="arm the clearing deadline guard with this wall-clock budget",
     )
     simulate.add_argument(
-        "--predictor", choices=SIGNAL_NAMES, default=None,
-        help="forecasting signal for the predict phase "
-        "(default: the paper's current-draw rule)",
-    )
-    simulate.add_argument(
-        "--risk-quantile", type=float, default=None, metavar="Q",
-        help="release spot capacity at this overcommit quantile of the "
-        "signal's confidence band, in (0, 1] (default: point forecast)",
-    )
-    simulate.add_argument(
-        "--event-schedule", default=None, metavar="FILE",
-        help="grid-event schedule file (the scenario 'events' component "
-        "as standalone JSON/YAML): EDR shocks, price spikes, cascades",
-    )
-    simulate.add_argument(
-        "--wholesale-trace", default=None, metavar="FILE",
-        help="wholesale price trace (JSON array or one price per line) "
-        "that the reserve price tracks during price events",
-    )
-    simulate.add_argument(
         "--profile", action="store_true",
         help="print a per-phase wall-clock table (predict/bid_collect/"
         "clear/grant/enforce/settle) from the telemetry spans",
-    )
-    simulate.add_argument(
-        "--telemetry", action="store_true",
-        help="record a span trace, metrics dump, and summary JSON",
-    )
-    simulate.add_argument(
-        "--telemetry-dir", default="telemetry",
-        help="directory for telemetry artifacts (default: ./telemetry)",
     )
     simulate.set_defaults(func=_cmd_simulate)
 
     serve = sub.add_parser(
         "serve",
+        parents=[_operator_flags(slots=20)],
         help="run the spot market as a daemon on a unix socket",
     )
-    serve.add_argument("--seed", type=int, default=None)
-    serve.add_argument("--slots", type=int, default=20)
     serve.add_argument(
         "--state-dir", required=True,
         help="daemon state directory (bid log, market journal, checkpoints)",
@@ -938,27 +923,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="resume from the newest valid checkpoint in the state dir",
     )
     serve.add_argument(
-        "--predictor", choices=SIGNAL_NAMES, default=None,
-        help="forecasting signal for the daemon's predict phase",
-    )
-    serve.add_argument(
-        "--risk-quantile", type=float, default=None, metavar="Q",
-        help="release spot capacity at this overcommit quantile, in (0, 1]",
-    )
-    serve.add_argument(
-        "--fault-profile", choices=FAULT_CLASSES, default="none",
-        help="inject a named fault class into the daemon's slot loop",
-    )
-    serve.add_argument(
-        "--fault-intensity", type=float, default=0.1,
-        help="intensity of the injected fault class, in [0, 1]",
-    )
-    serve.add_argument(
-        "--crash-at", type=int, default=None, metavar="SLOT",
-        help="inject an operator crash (clean OperatorCrash, exit 3) at "
-        "this slot",
-    )
-    serve.add_argument(
         "--kill-at", type=int, default=None, metavar="SLOT",
         help="SIGKILL our own process at this slot (crash testing)",
     )
@@ -966,24 +930,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--kill-point", default="post_journal",
         choices=("pre_step", "post_journal", "post_checkpoint"),
         help="where inside the --kill-at slot to die",
-    )
-    serve.add_argument(
-        "--event-schedule", default=None, metavar="FILE",
-        help="grid-event schedule file (the scenario 'events' component "
-        "as standalone JSON/YAML): EDR shocks, price spikes, cascades",
-    )
-    serve.add_argument(
-        "--wholesale-trace", default=None, metavar="FILE",
-        help="wholesale price trace (JSON array or one price per line) "
-        "that the reserve price tracks during price events",
-    )
-    serve.add_argument(
-        "--telemetry", action="store_true",
-        help="record a span trace, metrics dump, and summary JSON",
-    )
-    serve.add_argument(
-        "--telemetry-dir", default="telemetry",
-        help="directory for telemetry artifacts (default: ./telemetry)",
     )
     serve.set_defaults(func=_cmd_serve)
 

@@ -12,6 +12,7 @@ from collections.abc import Mapping, Sequence
 
 from repro.core.bids import RackBid
 from repro.errors import CapacityError
+from repro.power.elementwise import ordered_sum
 
 __all__ = ["AllocationResult", "verify_allocation"]
 
@@ -47,8 +48,12 @@ class AllocationResult:
 
     @property
     def total_granted_w(self) -> float:
-        """Total spot capacity allocated this slot, watts."""
-        return sum(self.grants_w.values())
+        """Total spot capacity allocated this slot, watts.
+
+        Added left to right; an empty allocation totals int ``0``, the
+        value builtin ``sum()`` gave and that traces have recorded.
+        """
+        return ordered_sum(list(self.grants_w.values())) if self.grants_w else 0
 
     def grant_for(self, rack_id: str) -> float:
         """Grant for one rack (0 if the rack did not bid or was priced out)."""

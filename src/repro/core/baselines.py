@@ -23,7 +23,7 @@ import numpy as np
 from repro.core.allocation import AllocationResult
 from repro.core.market import Allocator, SlotMarketRecord
 from repro.errors import ConfigurationError
-from repro.prediction.spot import SpotCapacityForecast
+from repro.forecast.capacity import SpotCapacityForecast
 from repro.tenants.tenant import Tenant
 
 __all__ = ["PowerCappedAllocator", "MaxPerfAllocator"]

@@ -23,7 +23,7 @@ from repro.core.clearing import MarketClearing
 from repro.core.frame import BidFrame
 from repro.core.sharding import IncrementalFrameBuilder
 from repro.errors import ConfigurationError
-from repro.prediction.spot import SpotCapacityForecast
+from repro.forecast.capacity import SpotCapacityForecast
 from repro.core.bids import TenantBid
 from repro.recovery.admission import QuarantinedBid, dedupe_bundles, screen_bids
 from repro.tenants.tenant import Tenant

@@ -16,6 +16,7 @@ import typing
 
 from repro.analysis.reporting import format_table
 from repro.errors import SimulationError
+from repro.power.elementwise import ordered_sum
 
 if typing.TYPE_CHECKING:
     # Imported lazily to keep `repro.economics` importable on its own
@@ -90,11 +91,13 @@ def build_invoice(result: SimulationResult, tenant_id: str) -> Invoice:
         energy_kwh += float(power.sum()) / 1000.0 * result.slot_hours
         spot_slots += int((granted > 0).sum())
         spot_watt_hours += float(granted.sum()) * result.slot_hours
-    spot_credit = sum(
+    credits = [
         note.dollars
         for note in getattr(result, "credit_notes", ())
         if note.tenant_id == tenant_id
-    )
+    ]
+    # No credit notes invoice int 0, as builtin sum() did.
+    spot_credit = ordered_sum(credits) if credits else 0
     return Invoice(
         tenant_id=tenant_id,
         period_hours=result.duration_hours,
@@ -127,8 +130,8 @@ def reconcile(result: SimulationResult, tolerance: float = 1e-6) -> None:
     Raises:
         SimulationError: On any imbalance beyond ``tolerance`` dollars.
     """
-    billed = sum(
-        result.tenant_spot_payment(tenant_id) for tenant_id in result.tenants
+    billed = ordered_sum(
+        [result.tenant_spot_payment(tenant_id) for tenant_id in result.tenants]
     )
     earned = result.total_spot_revenue()
     if abs(billed - earned) > tolerance:

@@ -44,7 +44,7 @@ from repro.events.types import EventSchedule
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from repro.forecast.release import RiskAwareReleasePolicy
-    from repro.prediction.spot import SpotCapacityForecast
+    from repro.forecast.capacity import SpotCapacityForecast
 
 __all__ = ["ShockAbsorber"]
 

@@ -40,7 +40,7 @@ from repro.experiments.common import (
     powercapped_baseline,
 )
 from repro.experiments.fig07_prediction_and_scaling import make_synthetic_bids
-from repro.prediction.spot import SpotCapacityPredictor
+from repro.forecast.signals import CurrentDrawSignal
 from repro.sim.engine import SimulationEngine, run_simulation
 from repro.sim.scenario import scaled_scenario, testbed_scenario
 
@@ -160,7 +160,7 @@ class SafetyAblation:
 
 
 #: The four conservatism configurations: (label, safety margin override
-#: — ``None`` keeps the predictor's default — and reference window).
+#: — ``None`` keeps the signal's default — and reference window).
 _SAFETY_CONFIGS = (
     ("margin + rolling refs (default)", None, 5),
     ("no safety margin", 0.0, 5),
@@ -173,15 +173,10 @@ def _safety_cell(payload) -> tuple[str, int, float]:
     """One predictor-conservatism configuration."""
     seed, slots, label, margin, window = payload
     baseline = powercapped_baseline(seed, slots)
-    predictor = (
-        SpotCapacityPredictor()
-        if margin is None
-        else SpotCapacityPredictor(safety_margin_fraction=margin)
-    )
+    margin_kwargs = {} if margin is None else {"safety_margin_fraction": margin}
     engine = SimulationEngine(
         testbed_scenario(seed=seed),
-        spot_predictor=predictor,
-        reference_window=window,
+        signal=CurrentDrawSignal(window=window, **margin_kwargs),
     )
     result = engine.run(slots)
     return (

@@ -21,7 +21,7 @@ from __future__ import annotations
 import dataclasses
 
 from repro.errors import ConfigurationError
-from repro.prediction.spot import SpotCapacityForecast
+from repro.forecast.capacity import SpotCapacityForecast
 
 __all__ = ["RiskAwareReleasePolicy"]
 

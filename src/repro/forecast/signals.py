@@ -10,7 +10,7 @@ loop.  This module is that seam.
 Every signal answers one question per slot — *how much headroom will
 each PDU (and the UPS) have next slot?* — and answers it twice:
 
-* a **point forecast** (a :class:`~repro.prediction.spot.SpotCapacityForecast`),
+* a **point forecast** (a :class:`~repro.forecast.capacity.SpotCapacityForecast`),
   which is what the paper's operator releases to the market, and
 * a **confidence band**: a piecewise-linear quantile function over the
   same per-PDU/UPS headrooms.  ``at_quantile(q)`` is the headroom value
@@ -19,13 +19,13 @@ each PDU (and the UPS) have next slot?* — and answers it twice:
   optimistic, and the values are non-decreasing in ``q`` by
   construction.
 
-All signals route the headroom arithmetic through the paper's
-:class:`~repro.prediction.spot.SpotCapacityPredictor` (Eqs. 3-4 with
-the safety margin and under-prediction factor) — signals differ only in
-the per-rack *reference power* they feed it and in how they widen the
-result into a band.  That keeps exactly one forecast-producing code
-path in the tree and makes :class:`CurrentDrawSignal` float-identical
-to the rule the engine previously built inline.
+Every signal computes its headroom with the one :meth:`Signal.headroom`
+(Eqs. 3-4 with the safety margin and under-prediction factor) — signals
+differ only in the per-rack *reference power* they feed it and in how
+they widen the result into a band.  That keeps exactly one
+forecast-producing code path in the tree and makes
+:class:`CurrentDrawSignal` float-identical to the rule the engine
+previously built inline.
 
 See docs/forecasting.md for band semantics and how to add a signal.
 """
@@ -34,12 +34,14 @@ from __future__ import annotations
 
 import abc
 import dataclasses
+from collections.abc import Iterable, Mapping
 from statistics import NormalDist
 
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.prediction.spot import SpotCapacityForecast, SpotCapacityPredictor
+from repro.forecast.capacity import SpotCapacityForecast
+from repro.power.elementwise import ordered_sum, py_max, py_min
 
 __all__ = [
     "SIGNAL_NAMES",
@@ -134,28 +136,117 @@ class BandedForecast:
         )
 
 
+@dataclasses.dataclass
 class Signal(abc.ABC):
-    """Interface every forecasting signal implements.
+    """A forecasting signal: the paper's headroom rule plus a reference.
 
-    Subclasses provide per-rack :meth:`references` (what the predictor
-    subtracts from physical capacity) and optionally a :meth:`band`
-    that widens the point forecast into quantile knots.  The shared
-    :meth:`forecast_slot` handles slot 0 (no telemetry yet — zero
-    forecast, exactly as the engine always has) and routes everything
-    else through :class:`~repro.prediction.spot.SpotCapacityPredictor`.
+    Subclasses provide per-rack :meth:`references` (what :meth:`headroom`
+    subtracts from capacity) and optionally a :meth:`band` that widens
+    the point forecast into quantile knots.  :meth:`forecast_slot`
+    returns the zero forecast at slot 0 (no telemetry yet).
+
+    Args:
+        under_prediction_factor: Multiplier in (0, 1] applied to every
+            predicted headroom; 1.0 (default) is the paper's base case,
+            0.85 reproduces "15% under-prediction" (Fig. 17).
+        safety_margin_fraction: Fraction of each level's physical
+            capacity held back from the market.  Covers the residual
+            slot-to-slot drift of non-requesting racks (the paper's
+            ±2.5%/min, Fig. 7a) so that spot capacity introduces no
+            additional power emergencies (Section V-B2); the circuit-
+            breaker tolerance then only ever absorbs drift beyond that.
+        window: Telemetry window (slots) the reference is taken over.
     """
 
     #: Registry name; also the scenario-spec / CLI identifier.
     name = "signal"
 
-    under_prediction_factor: float
-    safety_margin_fraction: float
-    window: int
+    under_prediction_factor: float = 1.0
+    safety_margin_fraction: float = 0.025
+    window: int = 5
+
+    def __post_init__(self) -> None:
+        if not 0 < self.under_prediction_factor <= 1:
+            raise ConfigurationError(
+                "under_prediction_factor must be in (0, 1], got "
+                f"{self.under_prediction_factor}"
+            )
+        if not 0 <= self.safety_margin_fraction < 1:
+            raise ConfigurationError(
+                "safety_margin_fraction must be in [0, 1), got "
+                f"{self.safety_margin_fraction}"
+            )
+        if self.window < 1:
+            raise ConfigurationError(f"signal window must be >= 1, got {self.window}")
 
     @property
     def usable_fraction(self) -> float:
         """Fraction of physical capacity the market may ever see."""
         return 1.0 - self.safety_margin_fraction
+
+    def headroom(
+        self,
+        topology,
+        requesting_rack_ids: Iterable[str],
+        reference_power_w: Mapping[str, float] | np.ndarray | None = None,
+    ) -> SpotCapacityForecast:
+        """Predict per-PDU and UPS spot capacity for the next slot (Eqs. 3-4).
+
+        Each level's reference power is subtracted from its usable
+        capacity and the result scaled by the under-prediction factor.
+        A rack that requests or holds spot capacity is referenced at its
+        guaranteed capacity (it may ramp to its whole subscription);
+        any other rack at its reference, clamped to that guarantee.
+        Columnar over ``topology.layout``, but each PDU sums its racks
+        in ``pdu.rack_ids`` order and the facility its PDUs in topology
+        order, exactly as the per-rack rule reads.
+
+        Args:
+            topology: Facility with current rack power samples recorded.
+            requesting_rack_ids: Racks bidding for (or holding) spot capacity.
+            reference_power_w: Reference power of the other racks: a
+                mapping (racks it omits use their current draw) or an
+                array in ``topology.racks`` order, such as
+                :meth:`~repro.infrastructure.monitor.PowerMonitor.recent_max_w`.
+                ``None`` uses every rack's current draw.
+        """
+        layout = topology.layout
+        requesting = set(requesting_rack_ids)
+        unknown = [rack_id for rack_id in requesting if rack_id not in layout.index]
+        if unknown:
+            raise ConfigurationError(
+                f"requesting racks not in topology: {sorted(unknown)[:5]}"
+            )
+        if reference_power_w is None:
+            reference = layout.power_row()
+        elif isinstance(reference_power_w, np.ndarray):
+            reference = reference_power_w
+            if reference.shape != layout.guaranteed_w.shape:
+                raise ConfigurationError(
+                    f"reference row has shape {reference.shape}, topology has "
+                    f"{len(layout.racks)} racks"
+                )
+        else:
+            reference = np.array(
+                [
+                    reference_power_w.get(rack.rack_id, rack.power_w)
+                    for rack in layout.racks
+                ],
+                dtype=float,
+            )
+        guaranteed = layout.guaranteed_w
+        held = layout.mask(requesting) | (layout.spot_row() > 0)
+        rack_reference = np.where(held, guaranteed, py_min(reference, guaranteed))
+        pdu_reference = layout.pdu_totals(rack_reference)
+        total_reference = ordered_sum(pdu_reference)
+        usable = 1.0 - self.safety_margin_fraction
+        headroom = py_max(0.0, layout.pdu_capacity_row() * usable - pdu_reference)
+        pdu_spot = headroom * self.under_prediction_factor
+        ups_headroom = max(0.0, topology.ups.capacity_w * usable - total_reference)
+        return SpotCapacityForecast(
+            pdu_spot_w=dict(zip(layout.pdu_ids, pdu_spot.tolist())),
+            ups_spot_w=ups_headroom * self.under_prediction_factor,
+        )
 
     def forecast_slot(self, topology, requesting, monitor, slot: int) -> BandedForecast:
         """Forecast next-slot headroom from the monitor's telemetry.
@@ -176,12 +267,12 @@ class Signal(abc.ABC):
                 usable_fraction=self.usable_fraction,
             )
         references = self.references(topology, monitor)
-        point = self.predictor.forecast(topology, requesting, references)
+        point = self.headroom(topology, requesting, references)
         return self.band(point, topology, requesting, monitor)
 
     @abc.abstractmethod
     def references(self, topology, monitor):
-        """Per-rack reference power fed to the capacity predictor.
+        """Per-rack reference power fed to :meth:`headroom`.
 
         A mapping by rack id, or an array in ``topology.racks`` order
         (what :meth:`PowerMonitor.recent_max_w` returns).
@@ -190,33 +281,6 @@ class Signal(abc.ABC):
     def band(self, point, topology, requesting, monitor) -> BandedForecast:
         """Widen a point forecast into a band (degenerate by default)."""
         return BandedForecast(point=point, usable_fraction=self.usable_fraction)
-
-
-def _tails(monitor, window: int, level: str) -> np.ndarray:
-    """Each series' last ``window`` samples, one contiguous row per series.
-
-    Rows are contiguous so that a mean or a variance over one adds in
-    the same order as over that series read on its own.
-    """
-    return np.ascontiguousarray(monitor.recent_rows(window, level).T)
-
-
-@dataclasses.dataclass
-class _PredictorSignal(Signal):
-    """Shared config + validation for the built-in signals."""
-
-    under_prediction_factor: float = 1.0
-    safety_margin_fraction: float = 0.025
-    window: int = 5
-
-    def __post_init__(self) -> None:
-        if self.window < 1:
-            raise ConfigurationError(f"signal window must be >= 1, got {self.window}")
-        # Validates factor/margin ranges; shared by every signal.
-        self.predictor = SpotCapacityPredictor(
-            under_prediction_factor=self.under_prediction_factor,
-            safety_margin_fraction=self.safety_margin_fraction,
-        )
 
     def _gaussian_band(self, point, topology, pdu_sigma, ups_sigma) -> BandedForecast:
         """Symmetric Gaussian knots around the point forecast.
@@ -243,8 +307,17 @@ class _PredictorSignal(Signal):
         )
 
 
+def _tails(monitor, window: int, level: str) -> np.ndarray:
+    """Each series' last ``window`` samples, one contiguous row per series.
+
+    Rows are contiguous so that a mean or a variance over one adds in
+    the same order as over that series read on its own.
+    """
+    return np.ascontiguousarray(monitor.recent_rows(window, level).T)
+
+
 @dataclasses.dataclass
-class CurrentDrawSignal(_PredictorSignal):
+class CurrentDrawSignal(Signal):
     """The paper's rule (Section III-C), verbatim.
 
     Reference power is each rack's recent metered maximum over
@@ -260,7 +333,7 @@ class CurrentDrawSignal(_PredictorSignal):
 
 
 @dataclasses.dataclass
-class RollingMaxSignal(_PredictorSignal):
+class RollingMaxSignal(Signal):
     """Conservative long-window peak reference.
 
     Like :class:`CurrentDrawSignal` but over a longer window (default
@@ -282,7 +355,7 @@ class RollingMaxSignal(_PredictorSignal):
 
     def band(self, point, topology, requesting, monitor) -> BandedForecast:
         short_refs = monitor.recent_max_w(self.SHORT_WINDOW)
-        high = self.predictor.forecast(topology, requesting, short_refs)
+        high = self.headroom(topology, requesting, short_refs)
         # Short-window references are pointwise <= long-window ones, so
         # `high` headrooms are pointwise >= the point: knots are sorted.
         levels = (0.5, 1.0)
@@ -299,7 +372,7 @@ class RollingMaxSignal(_PredictorSignal):
 
 
 @dataclasses.dataclass
-class MovingAverageSignal(_PredictorSignal):
+class MovingAverageSignal(Signal):
     """Windowed mean reference with a Gaussian band.
 
     Reference power is each rack's mean draw over the window — less
@@ -331,7 +404,7 @@ class MovingAverageSignal(_PredictorSignal):
 
 
 @dataclasses.dataclass
-class Ar1Signal(_PredictorSignal):
+class Ar1Signal(Signal):
     """Per-rack AR(1) one-step prediction with a residual-width band.
 
     Fits ``x_{t+1} - mu = phi (x_t - mu) + e`` per rack over the window
@@ -374,7 +447,7 @@ class Ar1Signal(_PredictorSignal):
 
 
 @dataclasses.dataclass
-class QuantileEnsembleSignal(_PredictorSignal):
+class QuantileEnsembleSignal(Signal):
     """Empirical-quantile ensemble over member signals.
 
     The point reference is the per-rack *median* of the member signals'

@@ -116,7 +116,7 @@ class Pdu:
         operator's *predictor* decides how much of it to offer (it uses
         guaranteed capacity, not current draw, as the reference for racks
         that request spot capacity — see
-        :class:`repro.prediction.spot.SpotCapacityPredictor`).
+        :meth:`repro.forecast.signals.Signal.headroom`).
         """
         return max(0.0, self.capacity_w - aggregate_power_w)
 

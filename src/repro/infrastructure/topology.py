@@ -20,6 +20,7 @@ from repro.infrastructure.layout import RackLayout
 from repro.infrastructure.pdu import Pdu
 from repro.infrastructure.rack import Rack
 from repro.infrastructure.ups import Ups
+from repro.power.elementwise import ordered_sum
 
 __all__ = ["PowerTopology"]
 
@@ -144,15 +145,15 @@ class PowerTopology:
 
     def pdu_power_w(self, pdu_id: str) -> float:
         """Current aggregate draw at a PDU (sum of its racks' last samples)."""
-        return sum(r.power_w for r in self.racks_of_pdu(pdu_id))
+        return ordered_sum([r.power_w for r in self.racks_of_pdu(pdu_id)])
 
     def ups_power_w(self) -> float:
         """Current aggregate facility draw at the UPS."""
-        return sum(r.power_w for r in self._racks.values())
+        return ordered_sum([r.power_w for r in self._racks.values()])
 
     def total_guaranteed_w(self) -> float:
         """Total guaranteed (subscribed) capacity across all racks."""
-        return sum(r.guaranteed_w for r in self._racks.values())
+        return ordered_sum([r.guaranteed_w for r in self._racks.values()])
 
     def clear_all_spot_budgets(self) -> None:
         """Revoke every rack's spot grant (start-of-slot default state)."""

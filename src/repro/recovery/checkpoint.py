@@ -24,7 +24,9 @@ an older layout — formats 1-2 pickled header and engine as one dict —
 is refused by its version before its engine is ever unpickled.  Format
 5 changed what every checkpoint pickles: the monitor's and the metrics
 collector's telemetry became one float64 row per slot, so a format-4
-file is refused like any other mismatch.  Writes
+file is refused like any other mismatch.  Format 6 removed the
+standalone prediction package whose objects format-5 engines pickled;
+such a file is refused by its version, not by a failed import.  Writes
 are atomic (temp file + :func:`os.replace`) so a crash
 *during* checkpointing leaves the previous checkpoint intact.
 """
@@ -57,7 +59,10 @@ __all__ = [
 #: 5: the power monitor and the metrics collector store one row per slot
 #: (:class:`~repro.infrastructure.layout.SlotRows`) and the topology
 #: carries its :class:`~repro.infrastructure.layout.RackLayout`.
-CHECKPOINT_FORMAT = 5
+#: 6: the prediction package folded into :mod:`repro.forecast` (signals
+#: no longer carry a ``predictor``) and the engine dropped its legacy
+#: predictor and reference-window attributes.
+CHECKPOINT_FORMAT = 6
 
 _MAGIC = "spotdc-checkpoint"
 _NAME_RE = re.compile(r"^checkpoint_(\d{6,})\.pkl$")

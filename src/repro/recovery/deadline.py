@@ -125,7 +125,7 @@ def build_fallback_record(
         last_price: Previous slot's clearing price, or ``None`` on the
             first market slot.
         forecast: This slot's
-            :class:`~repro.prediction.spot.SpotCapacityForecast`.
+            :class:`~repro.forecast.capacity.SpotCapacityForecast`.
         slot_seconds: Slot length (billing).
         extra_constraints: This slot's extra capacity constraints.
 

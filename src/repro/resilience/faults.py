@@ -4,9 +4,8 @@ Real colocation incidents are correlated and infrastructural: network
 loss comes in bursts, meters stick or drop out for minutes at a time,
 and a PDU/UPS can temporarily lose part of its capacity (maintenance,
 failed modules, thermal derating).  The independent per-slot Bernoulli
-drops of the original :class:`repro.sim.faults.CommunicationFaultModel`
-cannot express any of that, so this module replaces it with a pluggable
-framework:
+drops of a plain communication-loss model cannot express any of that,
+so this module is a pluggable framework:
 
 * a :class:`FaultSource` models one failure mechanism on one *channel*
   (``"bid"``, ``"grant"``, ``"meter"``, or ``"capacity"``);
@@ -202,7 +201,7 @@ class FaultSource:
 
 
 class BernoulliLoss(FaultSource):
-    """Independent per-slot message loss (the legacy fault model).
+    """Independent per-slot message loss (paper §III-C, "Handling exceptions").
 
     Args:
         channel: ``"bid"`` or ``"grant"``.
@@ -612,22 +611,18 @@ class FaultInjector:
             ordinal within channel)*, so e.g. a derating-only injector
             and a full chaos injector built from the same seed produce
             byte-identical derating schedules — the property the
-            SpotDC-vs-PowerCapped invariant check rests on.
-        rng: Alternatively, a pre-built generator shared by all sources
-            in call order (the legacy CommunicationFaultModel contract).
-            Exactly one of ``seed``/``rng`` must be provided.
+            SpotDC-vs-PowerCapped invariant check rests on.  Required:
+            reproducibility is not optional.
     """
 
     def __init__(
         self,
         sources: Sequence[FaultSource] = (),
         seed: int | None = None,
-        rng: np.random.Generator | None = None,
     ) -> None:
-        if (seed is None) == (rng is None):
+        if seed is None:
             raise ConfigurationError(
-                "pass exactly one of seed= or rng= (reproducibility is "
-                "not optional)"
+                "pass seed= (reproducibility is not optional)"
             )
         self.log = FaultLog()
         self._by_channel: dict[str, list[FaultSource]] = {
@@ -642,14 +637,9 @@ class FaultInjector:
             self._by_channel[source.channel].append(source)
         for channel_index, channel in enumerate(CHANNELS):
             for ordinal, source in enumerate(self._by_channel[channel]):
-                if rng is not None:
-                    source.bind(rng)
-                else:
-                    source.bind(
-                        np.random.default_rng(
-                            [int(seed), channel_index, ordinal]
-                        )
-                    )
+                source.bind(
+                    np.random.default_rng([int(seed), channel_index, ordinal])
+                )
 
     @property
     def sources(self) -> tuple[FaultSource, ...]:

@@ -4,7 +4,6 @@ engine running Algorithm 1, metrics collection, and result summaries.
 
 from repro.sim.builder import ScenarioBuilder
 from repro.sim.engine import SimulationEngine, run_simulation
-from repro.sim.faults import CommunicationFaultModel, FaultLog
 from repro.sim.metrics import MetricsCollector
 from repro.sim.results import RackInfo, SimulationResult, TenantInfo
 from repro.sim.scenario import (
@@ -20,8 +19,6 @@ __all__ = [
     "MetricsCollector",
     "PRICE_ANCHORS",
     "RackInfo",
-    "CommunicationFaultModel",
-    "FaultLog",
     "Scenario",
     "ScenarioBuilder",
     "SimulationEngine",

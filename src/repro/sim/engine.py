@@ -47,17 +47,19 @@ automatically and a resumed run continues mid-loop.
 
 from __future__ import annotations
 
+import dataclasses
+
 from repro.config import MarketParameters
 from repro.core.market import Allocator, SlotMarketRecord, SpotDCAllocator
 from repro.economics.profit import OperatorLedger
 from repro.errors import RecoveryError, SimulationError
 from repro.events.absorber import ShockAbsorber
+from repro.forecast.price import EwmaPricePredictor
 from repro.forecast.release import RiskAwareReleasePolicy
 from repro.forecast.signals import CurrentDrawSignal, Signal
 from repro.infrastructure.emergencies import EmergencyLog
 from repro.infrastructure.monitor import PowerMonitor
-from repro.prediction.price import EwmaPricePredictor, PricePredictor
-from repro.prediction.spot import SpotCapacityPredictor
+from repro.power.elementwise import ordered_sum
 from repro.recovery.checkpoint import load_checkpoint, save_checkpoint
 from repro.recovery.deadline import (
     ClearingDeadlineGuard,
@@ -73,6 +75,13 @@ from repro.telemetry.registry import DEFAULT_PRICE_BUCKETS, DEFAULT_WATTS_BUCKET
 from repro.workloads.base import SlotPerformance
 
 __all__ = ["SimulationEngine", "run_simulation"]
+
+#: Monitor history retention (slots) for every run.
+_HISTORY_SLOTS = 200_000
+
+#: Window (slots) of the degradation controller's per-rack true
+#: reference: each rack's recent maximum *true* draw.
+_TRUE_REFERENCE_WINDOW = 5
 
 
 class _RunState:
@@ -156,15 +165,10 @@ class SimulationEngine:
     Args:
         scenario: The facility, tenants, and prices.
         allocator: Slot-level allocation policy (default: SpotDC).
-        spot_predictor: Operator-side spot-capacity predictor.  Legacy
-            scalar-rule entry point: wrapped into a
-            :class:`~repro.forecast.signals.CurrentDrawSignal` with the
-            same factor/margin, so existing callers keep identical
-            numbers.  Prefer ``signal`` (or a scenario ``prediction``
-            block) for anything beyond the paper's rule.
         signal: Forecasting :class:`~repro.forecast.signals.Signal`
-            producing the per-slot banded forecast.  ``None`` falls back
-            to ``spot_predictor``, then the scenario's ``prediction``
+            producing the per-slot banded forecast; it carries the
+            under-prediction factor, safety margin and reference window.
+            ``None`` falls back to the scenario's ``prediction``
             profile, then the paper's default
             :class:`~repro.forecast.signals.CurrentDrawSignal`.
         release_policy: :class:`~repro.forecast.release.RiskAwareReleasePolicy`
@@ -175,9 +179,6 @@ class SimulationEngine:
         price_predictor: Tenant-side market-price forecaster handed to
             bidding strategies (only strategies that use forecasts react
             to it).  ``None`` disables forecasting.
-        history_slots: Monitor history retention.
-        reference_window: Rolling window (slots) for the conservative
-            per-rack reference power used in spot-capacity prediction.
         constraint_provider: Optional zero-argument callable returning
             this slot's extra capacity constraints (phase balance, heat
             density) — evaluated after telemetry is current, e.g.
@@ -188,12 +189,11 @@ class SimulationEngine:
             policing budget overdraws: warned racks escalate to an
             involuntary spot-market bar (paper §III-C).
         fault_model: Optional
-            :class:`repro.resilience.faults.FaultInjector` (the legacy
-            :class:`repro.sim.faults.CommunicationFaultModel` is a thin
-            subclass and still works) injecting bid/grant communication
-            losses, delayed grants, meter faults, and capacity deratings
-            (paper §III-C "Handling exceptions").  ``None`` falls back
-            to the scenario's own ``fault_profile``, if any.
+            :class:`repro.resilience.faults.FaultInjector` injecting
+            bid/grant communication losses, delayed grants, meter
+            faults, and capacity deratings (paper §III-C "Handling
+            exceptions").  ``None`` falls back to the scenario's own
+            ``fault_profile``, if any.
         degradation: Excursion containment under faults.  ``None``
             (default) auto-creates a
             :class:`~repro.resilience.degradation.DegradationController`
@@ -216,12 +216,9 @@ class SimulationEngine:
         self,
         scenario: Scenario,
         allocator: Allocator | None = None,
-        spot_predictor: SpotCapacityPredictor | None = None,
         signal: Signal | None = None,
         release_policy: RiskAwareReleasePolicy | None = None,
-        price_predictor: PricePredictor | None = None,
-        history_slots: int = 200_000,
-        reference_window: int = 5,
+        price_predictor: EwmaPricePredictor | None = None,
         constraint_provider=None,
         fault_model=None,
         enforcement=None,
@@ -234,7 +231,6 @@ class SimulationEngine:
         if telemetry is None:
             telemetry = default_config()
         self.telemetry = Telemetry.resolve(telemetry)
-        self.reference_window = reference_window
         self.constraint_provider = constraint_provider
         if fault_model is None:
             profile = getattr(scenario, "fault_profile", None)
@@ -260,29 +256,20 @@ class SimulationEngine:
             params=MarketParameters(slot_seconds=scenario.slot_seconds),
         )
         # Exactly one forecast-producing code path: every entry point —
-        # the legacy spot_predictor arg, a scenario `prediction` block,
-        # or nothing at all — resolves to a Signal + release policy.
+        # an explicit signal, a scenario `prediction` block, or nothing
+        # at all — resolves to a Signal + release policy.
         prediction = getattr(scenario, "prediction", None)
         if signal is None:
-            if spot_predictor is not None:
-                signal = CurrentDrawSignal(
-                    under_prediction_factor=spot_predictor.under_prediction_factor,
-                    safety_margin_fraction=spot_predictor.safety_margin_fraction,
-                    window=reference_window,
-                )
-            elif prediction is not None:
+            if prediction is not None:
                 signal = prediction.build_signal()
                 if release_policy is None:
                     release_policy = prediction.build_policy()
             else:
-                signal = CurrentDrawSignal(window=reference_window)
+                signal = CurrentDrawSignal()
         self.signal = signal
         self.release_policy = release_policy or RiskAwareReleasePolicy()
-        self.spot_predictor = spot_predictor or getattr(
-            signal, "predictor", None
-        ) or SpotCapacityPredictor()
         self.price_predictor = price_predictor
-        self.monitor = PowerMonitor(scenario.topology, history_slots=history_slots)
+        self.monitor = PowerMonitor(scenario.topology, history_slots=_HISTORY_SLOTS)
         self.emergencies = EmergencyLog()
         self.ledger = OperatorLedger(
             price_sheet=scenario.price_sheet,
@@ -706,7 +693,7 @@ class SimulationEngine:
                         zip(
                             self.monitor.rack_ids,
                             self.monitor.recent_max_w(
-                                self.reference_window, true=True
+                                _TRUE_REFERENCE_WINDOW, true=True
                             ).tolist(),
                         )
                     )
@@ -834,9 +821,11 @@ class SimulationEngine:
                     # actually materialised (usable UPS capacity minus
                     # the non-spot draws the predictor's references
                     # stand in for).  Registry-only — traces untouched.
-                    nonspot_w = sum(
-                        min(perf.power_w, st.guaranteed_by_rack[rid])
-                        for rid, perf in outcomes.items()
+                    nonspot_w = ordered_sum(
+                        [
+                            min(perf.power_w, st.guaranteed_by_rack[rid])
+                            for rid, perf in outcomes.items()
+                        ]
                     )
                     realized_w = max(
                         0.0,
@@ -1084,10 +1073,8 @@ def run_simulation(
     scenario: Scenario,
     slots: int,
     allocator: Allocator | None = None,
-    spot_predictor: SpotCapacityPredictor | None = None,
     signal: Signal | None = None,
     release_policy: RiskAwareReleasePolicy | None = None,
-    use_price_forecasting: bool = False,
     fault_profile=None,
     telemetry=None,
     checkpoint_every: int | None = None,
@@ -1101,15 +1088,11 @@ def run_simulation(
             consumed by a run).
         slots: Number of slots.
         allocator: Allocation policy (default SpotDC market).
-        spot_predictor: Operator-side predictor (default: exact, no
-            under-prediction).  Legacy scalar entry point; see
-            :class:`SimulationEngine` for the resolution order against
-            ``signal`` and the scenario's ``prediction`` profile.
-        signal: Forecasting signal (:mod:`repro.forecast.signals`).
+        signal: Forecasting signal (:mod:`repro.forecast.signals`);
+            ``None`` defers to the scenario's ``prediction`` profile,
+            then the paper's exact rule (no under-prediction).
         release_policy: Risk-aware release policy
             (:mod:`repro.forecast.release`).
-        use_price_forecasting: Provide tenants an EWMA price forecast
-            (strategies that ignore forecasts are unaffected).
         fault_profile: Optional
             :class:`repro.resilience.FaultProfile` to inject faults from
             (overrides the scenario's own profile).
@@ -1124,20 +1107,13 @@ def run_simulation(
             scenario/allocator arguments still shape the engine that is
             *replaced* by the checkpointed state, so pass the same ones.
     """
-    fault_model = None
     if fault_profile is not None:
-        seed = (
-            fault_profile.seed if fault_profile.seed is not None else scenario.seed
-        )
-        fault_model = fault_profile.build(seed=seed)
+        scenario = dataclasses.replace(scenario, fault_profile=fault_profile)
     engine = SimulationEngine(
         scenario,
         allocator=allocator,
-        spot_predictor=spot_predictor,
         signal=signal,
         release_policy=release_policy,
-        price_predictor=EwmaPricePredictor() if use_price_forecasting else None,
-        fault_model=fault_model,
         telemetry=telemetry,
     )
     return engine.run(

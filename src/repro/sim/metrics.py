@@ -23,6 +23,7 @@ import numpy as np
 
 from repro.errors import SimulationError
 from repro.infrastructure.layout import SlotRows
+from repro.power.elementwise import ordered_sum
 from repro.workloads.base import SlotPerformance
 
 __all__ = ["MetricsCollector"]
@@ -101,7 +102,10 @@ class MetricsCollector:
                 f"missing outcomes for racks {sorted(missing)[:5]}"
             ) from None
         self._price.append(price)
-        self._spot_granted.append(sum(grants_w.values()))
+        # A slot without grants records int 0, as builtin sum() did.
+        self._spot_granted.append(
+            ordered_sum(list(grants_w.values())) if grants_w else 0
+        )
         self._spot_revenue.append(spot_revenue)
         self._forecast_ups.append(forecast_ups_w)
         self._forecast_pdu_total.append(forecast_pdu_total_w)

@@ -15,7 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.allocation import AllocationResult
 from repro.errors import ConfigurationError, SimulationError
+from repro.forecast.capacity import SpotCapacityForecast
+from repro.forecast.signals import CurrentDrawSignal
 from repro.infrastructure.emergencies import EmergencyLog
 from repro.infrastructure.layout import SlotRows
 from repro.infrastructure.monitor import PowerMonitor
@@ -24,7 +27,6 @@ from repro.infrastructure.rack import Rack
 from repro.infrastructure.topology import PowerTopology
 from repro.infrastructure.ups import Ups
 from repro.power.elementwise import ordered_sum, segment_sums
-from repro.prediction.spot import SpotCapacityPredictor
 from repro.sim.metrics import MetricsCollector
 from repro.workloads.base import SlotPerformance
 
@@ -98,6 +100,37 @@ class TestOrderedSums:
             segment_sums(np.array(values, dtype=float), gather),
             [oracle.in_order(s) for s in segments],
         )
+
+    def test_float_totals_add_left_to_right(self):
+        # Left to right these total 1.0; the compensated builtin sum()
+        # of Python 3.12+ totals them to 1.0000000000000002.
+        ids, values = ["a", "b", "c"], [1.0, 1e-16, 1e-16]
+        by_id = dict(zip(ids, values))
+        assert SpotCapacityForecast(by_id, 0.0).total_pdu_spot_w == 1.0
+        assert AllocationResult(0.0, by_id, 0.0).total_granted_w == 1.0
+        topology = PowerTopology.build(
+            Ups("u", 10.0),
+            [Pdu("p", 10.0)],
+            [Rack(rack_id, "t", "p", value, 2.0) for rack_id, value in by_id.items()],
+        )
+        for rack_id, value in by_id.items():
+            topology.rack(rack_id).record_power(value)
+        assert topology.pdu_power_w("p") == 1.0
+        assert topology.ups_power_w() == 1.0
+        assert topology.total_guaranteed_w() == 1.0
+        collector = MetricsCollector(ids, ["p"], ["t"])
+        collector.record_slot(
+            0.0,
+            by_id,
+            0.0,
+            0.0,
+            0.0,
+            0.0,
+            {"p": 0.0},
+            {rack_id: outcome(0.0, 0.0, False) for rack_id in ids},
+            {},
+        )
+        assert collector.spot_granted_array().tolist() == [1.0]
 
     def test_single_long_segment_is_not_pairwise(self):
         # A one-column block is where np.add.reduce would go pairwise.
@@ -184,14 +217,14 @@ class TestPredictorParity:
         }
         factor = data.draw(st.floats(0.5, 1.0))
         margin = data.draw(st.floats(0.0, 0.2))
-        predictor = SpotCapacityPredictor(factor, margin)
+        signal = CurrentDrawSignal(factor, margin)
         full = {rack_id: refs.get(rack_id, data.draw(watts)) for rack_id in ids}
         for reference, expected_refs in (
             (None, None),
             (refs, refs),
             (np.array([full[r] for r in ids]), full),
         ):
-            got = predictor.forecast(topology, requesting, reference)
+            got = signal.headroom(topology, requesting, reference)
             pdu_spot, ups = oracle.spot_forecast(
                 topology, requesting, expected_refs, factor, margin
             )
@@ -205,7 +238,7 @@ class TestPredictorParity:
             Ups("u", 10.0), [Pdu("p", 10.0)], [Rack("r", "t", "p", 1.0, 2.0)]
         )
         with pytest.raises(ConfigurationError, match="shape"):
-            SpotCapacityPredictor().forecast(topology, [], np.zeros(2))
+            CurrentDrawSignal().headroom(topology, [], np.zeros(2))
 
 
 class TestEmergencyParity:

@@ -213,7 +213,7 @@ class TestClearingWithConstraints:
 
     def test_maxperf_honours_constraints(self):
         from repro.core.baselines import MaxPerfAllocator
-        from repro.prediction.spot import SpotCapacityForecast
+        from repro.forecast.capacity import SpotCapacityForecast
         from repro.sim.scenario import testbed_scenario as build_testbed
 
         scenario = build_testbed(seed=13)

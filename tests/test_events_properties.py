@@ -21,7 +21,7 @@ from repro.core.demand import LinearBid
 from repro.core.market import SlotMarketRecord
 from repro.events import EventProfile, ShockAbsorber
 from repro.forecast.release import RiskAwareReleasePolicy
-from repro.prediction.spot import SpotCapacityForecast
+from repro.forecast.capacity import SpotCapacityForecast
 from repro.resilience.degradation import revoke_and_rebill
 
 _FRACTIONS = st.floats(

@@ -3,23 +3,25 @@
 import numpy as np
 import pytest
 
-from repro.config import make_rng
 from repro.core.baselines import PowerCappedAllocator
 from repro.economics.settlement import reconcile
 from repro.errors import ConfigurationError
+from repro.resilience import BernoulliLoss, FaultInjector
 from repro.sim.engine import SimulationEngine, run_simulation
-from repro.sim.faults import CommunicationFaultModel
 from repro.sim.scenario import testbed_scenario as build_testbed
 
 SLOTS = 800
 
 
-def run_with_faults(bid_p=0.0, grant_p=0.0, seed=55, slots=SLOTS):
-    fault_model = CommunicationFaultModel(
-        bid_loss_probability=bid_p,
-        grant_loss_probability=grant_p,
-        rng=make_rng(1234),
+def comm_faults(bid_p=0.0, grant_p=0.0, seed=1234):
+    return FaultInjector(
+        [BernoulliLoss("bid", bid_p), BernoulliLoss("grant", grant_p)],
+        seed=seed,
     )
+
+
+def run_with_faults(bid_p=0.0, grant_p=0.0, seed=55, slots=SLOTS):
+    fault_model = comm_faults(bid_p, grant_p)
     engine = SimulationEngine(
         build_testbed(seed=seed), fault_model=fault_model
     )
@@ -28,25 +30,25 @@ def run_with_faults(bid_p=0.0, grant_p=0.0, seed=55, slots=SLOTS):
 
 class TestFaultModel:
     def test_requires_rng(self):
+        # Every loss draw comes from a stream seeded by the injector.
         with pytest.raises(ConfigurationError):
-            CommunicationFaultModel(bid_loss_probability=0.1)
+            FaultInjector([BernoulliLoss("bid", 0.1)])
 
     def test_probability_bounds(self):
         with pytest.raises(ConfigurationError):
-            CommunicationFaultModel(bid_loss_probability=1.5, rng=make_rng(0))
+            BernoulliLoss("bid", 1.5)
         with pytest.raises(ConfigurationError):
-            CommunicationFaultModel(grant_loss_probability=-0.1, rng=make_rng(0))
+            BernoulliLoss("grant", -0.1)
 
     def test_zero_probability_never_fires(self):
-        model = CommunicationFaultModel(rng=make_rng(0))
+        model = comm_faults(seed=0)
         assert not any(model.bid_lost(s, "t") for s in range(100))
-        assert not any(model.grant_lost(s, "r") for s in range(100))
+        assert all(model.grant_fault(s, "r", 1.0) is None for s in range(100))
         assert model.log.lost_bids == 0
+        assert model.log.lost_grants == 0
 
     def test_certain_loss_always_fires(self):
-        model = CommunicationFaultModel(
-            bid_loss_probability=1.0, rng=make_rng(0)
-        )
+        model = comm_faults(bid_p=1.0, seed=0)
         assert all(model.bid_lost(s, "t") for s in range(10))
         assert model.log.lost_bids == 10
 

@@ -9,8 +9,8 @@ Three property suites pin the subsystem's contract:
   on seeded synthetic noise.
 
 Plus the integration contract: every default-path construction route
-(implicit default, raw ``spot_predictor``, explicit signal, spec-built
-scenario, all-defaults profile) produces byte-identical JSONL traces.
+(implicit default, explicit signal, spec-built scenario, all-defaults
+profile) produces byte-identical JSONL traces.
 """
 
 import dataclasses
@@ -37,7 +37,6 @@ from repro.infrastructure.pdu import Pdu
 from repro.infrastructure.rack import Rack
 from repro.infrastructure.topology import PowerTopology
 from repro.infrastructure.ups import Ups
-from repro.prediction.spot import SpotCapacityPredictor
 
 UPS_W = 1000.0
 PDU_W = 1000.0
@@ -203,12 +202,11 @@ class TestBandedForecast:
 
     def test_current_draw_matches_inline_rule(self):
         # The refactored paper rule must be float-identical to feeding
-        # rack_recent_max_w references into the predictor directly.
+        # rack_recent_max_w references into the headroom rule directly.
         topology, monitor = feed(13, 25)
         signal = CurrentDrawSignal()
         banded = signal.forecast_slot(topology, ["r0"], monitor, 25)
-        predictor = SpotCapacityPredictor()
-        expected = predictor.forecast(
+        expected = signal.headroom(
             topology,
             ["r0"],
             {
@@ -261,10 +259,6 @@ def test_default_path_trace_byte_identity(tmp_path):
     reference = _trace_bytes(tmp_path, "default")
     assert reference  # non-empty trace
 
-    # Legacy raw-predictor argument.
-    assert _trace_bytes(
-        tmp_path, "predictor", spot_predictor=SpotCapacityPredictor()
-    ) == reference
     # Explicit default signal.
     assert _trace_bytes(
         tmp_path, "signal", signal=CurrentDrawSignal()

@@ -5,7 +5,7 @@ import pytest
 from repro.core.baselines import MaxPerfAllocator, PowerCappedAllocator
 from repro.core.market import SpotDCAllocator
 from repro.errors import ConfigurationError
-from repro.prediction.spot import SpotCapacityForecast
+from repro.forecast.capacity import SpotCapacityForecast
 from repro.sim.scenario import testbed_scenario as build_testbed
 
 

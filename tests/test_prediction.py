@@ -1,14 +1,13 @@
-"""Spot-capacity and market-price predictors."""
+"""Spot-capacity prediction (Signal.headroom) and market-price prediction."""
 
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.forecast import CurrentDrawSignal, EwmaPricePredictor
 from repro.infrastructure.pdu import Pdu
 from repro.infrastructure.rack import Rack
 from repro.infrastructure.topology import PowerTopology
 from repro.infrastructure.ups import Ups
-from repro.prediction.price import EwmaPricePredictor, OraclePricePredictor
-from repro.prediction.spot import SpotCapacityPredictor
 
 
 def topology():
@@ -28,35 +27,37 @@ def topology():
 
 
 class TestSpotCapacityPredictor:
+    """The paper's Eq. 3-4 headroom rule, shared by every signal."""
+
     def test_non_requesting_uses_current_draw(self):
-        predictor = SpotCapacityPredictor(safety_margin_fraction=0.0)
-        forecast = predictor.forecast(topology(), [])
+        signal = CurrentDrawSignal(safety_margin_fraction=0.0)
+        forecast = signal.headroom(topology(), [])
         assert forecast.pdu_spot_w["p1"] == pytest.approx(150.0 - 90.0)
         assert forecast.pdu_spot_w["p2"] == pytest.approx(150.0 - 30.0)
         assert forecast.ups_spot_w == pytest.approx(260.0 - 120.0)
 
     def test_requesting_rack_referenced_at_guaranteed(self):
-        predictor = SpotCapacityPredictor(safety_margin_fraction=0.0)
-        forecast = predictor.forecast(topology(), ["r1"])
+        signal = CurrentDrawSignal(safety_margin_fraction=0.0)
+        forecast = signal.headroom(topology(), ["r1"])
         # r1 counts at 80 W instead of its 50 W draw.
         assert forecast.pdu_spot_w["p1"] == pytest.approx(150.0 - 120.0)
 
     def test_rack_holding_spot_referenced_at_guaranteed(self):
         topo = topology()
         topo.rack("r2").set_spot_budget(10.0)
-        predictor = SpotCapacityPredictor(safety_margin_fraction=0.0)
-        forecast = predictor.forecast(topo, [])
+        signal = CurrentDrawSignal(safety_margin_fraction=0.0)
+        forecast = signal.headroom(topo, [])
         # r2 counts at its 60 W guarantee instead of 40 W draw.
         assert forecast.pdu_spot_w["p1"] == pytest.approx(150.0 - 110.0)
 
     def test_under_prediction_scales(self):
-        exact = SpotCapacityPredictor(safety_margin_fraction=0.0)
-        under = SpotCapacityPredictor(
+        exact = CurrentDrawSignal(safety_margin_fraction=0.0)
+        under = CurrentDrawSignal(
             under_prediction_factor=0.85, safety_margin_fraction=0.0
         )
         topo = topology()
-        f_exact = exact.forecast(topo, [])
-        f_under = under.forecast(topo, [])
+        f_exact = exact.headroom(topo, [])
+        f_under = under.headroom(topo, [])
         assert f_under.ups_spot_w == pytest.approx(0.85 * f_exact.ups_spot_w)
         for pdu_id in f_exact.pdu_spot_w:
             assert f_under.pdu_spot_w[pdu_id] == pytest.approx(
@@ -64,13 +65,13 @@ class TestSpotCapacityPredictor:
             )
 
     def test_safety_margin_reserves_capacity(self):
-        margin = SpotCapacityPredictor(safety_margin_fraction=0.1)
-        forecast = margin.forecast(topology(), [])
+        margin = CurrentDrawSignal(safety_margin_fraction=0.1)
+        forecast = margin.headroom(topology(), [])
         assert forecast.pdu_spot_w["p1"] == pytest.approx(150.0 * 0.9 - 90.0)
 
     def test_reference_override_clamped_at_guaranteed(self):
-        predictor = SpotCapacityPredictor(safety_margin_fraction=0.0)
-        forecast = predictor.forecast(
+        signal = CurrentDrawSignal(safety_margin_fraction=0.0)
+        forecast = signal.headroom(
             topology(), [], reference_power_w={"r1": 1000.0, "r2": 45.0}
         )
         # r1 clamps to its 80 W guarantee; r2 uses the 45 W override.
@@ -78,20 +79,22 @@ class TestSpotCapacityPredictor:
 
     def test_never_negative(self):
         topo = topology()
-        predictor = SpotCapacityPredictor()
-        forecast = predictor.forecast(topo, ["r1", "r2", "r3"])
+        signal = CurrentDrawSignal()
+        forecast = signal.headroom(topo, ["r1", "r2", "r3"])
         assert forecast.ups_spot_w >= 0.0
         assert all(v >= 0.0 for v in forecast.pdu_spot_w.values())
 
     def test_unknown_requesting_rack_rejected(self):
         with pytest.raises(ConfigurationError):
-            SpotCapacityPredictor().forecast(topology(), ["ghost"])
+            CurrentDrawSignal().headroom(topology(), ["ghost"])
 
     def test_parameter_validation(self):
         with pytest.raises(ConfigurationError):
-            SpotCapacityPredictor(under_prediction_factor=0.0)
+            CurrentDrawSignal(under_prediction_factor=0.0)
         with pytest.raises(ConfigurationError):
-            SpotCapacityPredictor(safety_margin_fraction=1.0)
+            CurrentDrawSignal(safety_margin_fraction=1.0)
+        with pytest.raises(ConfigurationError):
+            CurrentDrawSignal(window=0)
 
 
 class TestEwmaPricePredictor:
@@ -126,23 +129,3 @@ class TestEwmaPricePredictor:
             EwmaPricePredictor(alpha=0.0)
         with pytest.raises(ConfigurationError):
             EwmaPricePredictor().observe(-0.1)
-
-
-class TestOraclePricePredictor:
-    def test_none_until_injected(self):
-        assert OraclePricePredictor().predict() is None
-
-    def test_injection(self):
-        oracle = OraclePricePredictor()
-        oracle.set_oracle(0.22)
-        assert oracle.predict() == pytest.approx(0.22)
-
-    def test_observations_ignored(self):
-        oracle = OraclePricePredictor()
-        oracle.set_oracle(0.22)
-        oracle.observe(0.9)
-        assert oracle.predict() == pytest.approx(0.22)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ConfigurationError):
-            OraclePricePredictor().set_oracle(-1.0)

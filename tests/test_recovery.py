@@ -26,7 +26,7 @@ from repro.errors import (
     RecoveryError,
     SimulationError,
 )
-from repro.prediction.spot import SpotCapacityForecast
+from repro.forecast.capacity import SpotCapacityForecast
 from repro.recovery import (
     QUARANTINE_REASONS,
     ClearingDeadlineGuard,
@@ -205,10 +205,20 @@ class TestCheckpointEnvelope:
             {"magic": "spotdc-checkpoint", "format": 4, "slot": 3, "horizon": 10}
         ) + pickle.dumps(None)
 
+        # A format-5 engine pickled objects of the removed
+        # repro.prediction package: unpickling it fails on the import.
+        format5_engine = b"crepro.prediction.spot\nSpotCapacityPredictor\n."
+        with pytest.raises(ModuleNotFoundError):
+            pickle.loads(format5_engine)
+        format5 = pickle.dumps(
+            {"magic": "spotdc-checkpoint", "format": 5, "slot": 3, "horizon": 10}
+        ) + format5_engine
+
         for name, data in (
             ("old", envelope(-1, None)),
             ("v2", format2),
             ("v4", format4),
+            ("v5", format5),
         ):
             path = tmp_path / f"{name}.pkl"
             path.write_bytes(data)
