@@ -36,6 +36,7 @@ from collections.abc import Callable, Sequence
 
 from repro import experiments as E
 from repro.forecast import SIGNAL_NAMES
+from repro.power.elementwise import ordered_sum
 from repro.resilience import FAULT_CLASSES, FaultProfile
 from repro.telemetry import TelemetryConfig, set_default_config
 
@@ -375,7 +376,7 @@ def _print_profile(trace) -> None:
         if not spans:
             continue
         durations = [s.duration_s * 1000.0 for s in spans]
-        total = sum(durations)
+        total = ordered_sum(durations)
         print(
             f"{name:<16}{len(spans):>7}{total:>12.2f}"
             f"{total / len(spans):>10.3f}{max(durations):>10.3f}"

@@ -124,8 +124,8 @@ def verify_allocation(
             f"{ups_spot_w:.3f} W (Eq. 4)"
         )
     for constraint in extra_constraints:
-        granted = sum(
-            result.grants_w.get(rack_id, 0.0) for rack_id in constraint.rack_ids
+        granted = ordered_sum(
+            [result.grants_w.get(rack_id, 0.0) for rack_id in constraint.rack_ids]
         )
         if granted > constraint.cap_w + tolerance_w:
             raise CapacityError(

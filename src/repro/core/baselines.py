@@ -47,6 +47,7 @@ class PowerCappedAllocator(Allocator):
         tracer=None,
         submitted_bids=None,
         duplicated=None,
+        fleet=None,
     ) -> SlotMarketRecord:
         if tracer is not None:
             with tracer.span("bid_collect", slot=slot) as span:
@@ -90,6 +91,7 @@ class MaxPerfAllocator(Allocator):
         tracer=None,
         submitted_bids=None,
         duplicated=None,
+        fleet=None,
     ) -> SlotMarketRecord:
         if tracer is None:
             from repro.telemetry.tracing import NULL_TRACER

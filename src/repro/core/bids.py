@@ -15,6 +15,7 @@ from collections.abc import Iterable, Sequence
 
 from repro.core.demand import DemandFunction, LinearBid
 from repro.errors import BidError
+from repro.power.elementwise import ordered_sum
 
 __all__ = ["RackBid", "TenantBid", "bundle_linear_bid", "flatten_bids"]
 
@@ -85,7 +86,7 @@ class TenantBid:
 
     def total_demand_at(self, price: float) -> float:
         """Bundle-wide demand at a price, rack-clipped."""
-        return sum(b.clipped_demand_at(price) for b in self.rack_bids)
+        return ordered_sum([b.clipped_demand_at(price) for b in self.rack_bids])
 
 
 def bundle_linear_bid(

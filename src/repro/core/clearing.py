@@ -49,6 +49,7 @@ from repro.core.allocation import AllocationResult
 from repro.core.bids import RackBid
 from repro.core.frame import BidFrame, padded_grids
 from repro.errors import ClearingError
+from repro.power.elementwise import ordered_sum
 
 if typing.TYPE_CHECKING:
     from repro.infrastructure.constraints import CapacityConstraint
@@ -397,7 +398,7 @@ class MarketClearing:
             )
             for seg, total in zip(seg_codes, local_interest)
         }
-        total_interest = sum(interest.values())
+        total_interest = ordered_sum(list(interest.values()))
         caps: list[float] = []
         for seg in seg_codes:
             pdu_id = frame.pdu_ids[int(seg)]

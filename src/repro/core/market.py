@@ -79,6 +79,7 @@ class Allocator(abc.ABC):
         tracer=None,
         submitted_bids: Sequence[TenantBid] | None = None,
         duplicated=None,
+        fleet=None,
     ) -> SlotMarketRecord:
         """Decide this slot's spot-capacity grants.
 
@@ -96,6 +97,12 @@ class Allocator(abc.ABC):
         tenant ids whose bundle was delivered twice (at-least-once
         transports, duplicate-delivery faults); market-style allocators
         absorb the extra copies, others may ignore both arguments.
+
+        ``fleet`` is the run's :class:`~repro.tenants.fleet.RackFleet`
+        (the engine passes it): solicited bids then come from
+        :meth:`~repro.tenants.fleet.RackFleet.bids`, which reuses the
+        slot's need instead of asking each tenant again.  ``None``
+        solicits ``tenant.make_bid`` directly.
         """
 
 
@@ -166,8 +173,11 @@ class SpotDCAllocator(Allocator):
         predicted_price: float | None,
         submitted_bids: Sequence[TenantBid] | None = None,
         duplicated=None,
+        fleet=None,
     ) -> tuple[list[RackBid], tuple[QuarantinedBid, ...], tuple[str, ...]]:
-        if submitted_bids is None:
+        if submitted_bids is None and fleet is not None:
+            tenant_bids = fleet.bids(slot, tenants, predicted_price)
+        elif submitted_bids is None:
             tenant_bids = []
             for tenant in tenants:
                 bid = tenant.make_bid(slot, predicted_price=predicted_price)
@@ -209,6 +219,7 @@ class SpotDCAllocator(Allocator):
         tracer=None,
         submitted_bids: Sequence[TenantBid] | None = None,
         duplicated=None,
+        fleet=None,
     ) -> SlotMarketRecord:
         if tracer is None:
             from repro.telemetry.tracing import NULL_TRACER
@@ -221,6 +232,7 @@ class SpotDCAllocator(Allocator):
                 predicted_price,
                 submitted_bids=submitted_bids,
                 duplicated=duplicated,
+                fleet=fleet,
             )
             for tenant_id in absorbed:
                 tracer.event(
@@ -252,7 +264,7 @@ class SpotDCAllocator(Allocator):
                 # price.  The rebid frame is transient — it must not
                 # displace the builder's slot-over-slot block cache.
                 rebids, requarantined, _ = self._collect_bids(
-                    slot, tenants, result.price
+                    slot, tenants, result.price, fleet=fleet
                 )
                 frame = BidFrame.from_bids(rebids)
                 result = self._clear(frame, forecast, extra_constraints)

@@ -24,6 +24,18 @@ from repro.power.elementwise import pow_each
 __all__ = ["SprintingCostModel", "OpportunisticCostModel"]
 
 
+def sprinting_cost_rate(latency_ms, request_rate_rps, a, b, slo_ms) -> np.ndarray:
+    """:meth:`SprintingCostModel.cost_rate_per_hour` elementwise.
+
+    The coefficients are scalars or per-rack arrays broadcasting against
+    ``latency_ms`` (one cost model per rack).  Inputs are not validated.
+    """
+    cost = a * latency_ms
+    penalty = b * pow_each(latency_ms - slo_ms, 2)
+    cost = np.where(latency_ms > slo_ms, cost + penalty, cost)
+    return cost * request_rate_rps * 3600.0
+
+
 @dataclasses.dataclass(frozen=True)
 class SprintingCostModel:
     """Latency cost with a quadratic SLO-violation penalty.
@@ -77,10 +89,7 @@ class SprintingCostModel:
             raise ConfigurationError(
                 f"latency must be >= 0, got {float(latency.min())}"
             )
-        cost = self.a * latency
-        penalty = self.b * pow_each(latency - self.slo_ms, 2)
-        cost = np.where(latency > self.slo_ms, cost + penalty, cost)
-        return cost * rate * 3600.0
+        return sprinting_cost_rate(latency, rate, self.a, self.b, self.slo_ms)
 
     def violates_slo(self, latency_ms: float) -> bool:
         """Whether a latency breaches the SLO."""

@@ -16,16 +16,34 @@ import dataclasses
 
 import numpy as np
 
-from repro.economics.cost import OpportunisticCostModel, SprintingCostModel
+from repro.economics.cost import (
+    OpportunisticCostModel,
+    SprintingCostModel,
+    sprinting_cost_rate,
+)
 from repro.errors import ConfigurationError
-from repro.power.latency import LatencyModel
-from repro.power.throughput import ThroughputModel
+from repro.power.latency import LatencyColumns, LatencyModel
+from repro.power.throughput import ThroughputColumns, ThroughputModel
 
 __all__ = [
     "SpotValueCurve",
+    "optimal_demands_w",
     "sprinting_value_curve",
+    "sprinting_value_curves",
     "opportunistic_value_curve",
+    "opportunistic_value_curves",
 ]
+
+
+def _concavify(grid: np.ndarray, raw: np.ndarray) -> np.ndarray:
+    """Non-negative, non-decreasing, concave gains along axis 0."""
+    monotone = np.maximum.accumulate(np.maximum(raw, 0.0), axis=0)
+    steps = np.diff(grid, axis=0)
+    increments = np.diff(monotone, axis=0) / steps
+    concave_inc = np.minimum.accumulate(increments, axis=0)
+    return np.concatenate(
+        [monotone[:1], monotone[0] + np.cumsum(concave_inc * steps, axis=0)]
+    )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -65,14 +83,7 @@ class SpotValueCurve:
         """The rational demand at a price: largest quantity whose marginal
         value still covers the price (the "Reference" curve of Fig. 3a).
         """
-        price_per_watt_hour = price_per_kw_hour / 1000.0
-        # Net benefit at each grid point; pick the argmax (concave gain
-        # makes this the inverse-marginal solution up to grid resolution).
-        net = self._gains - price_per_watt_hour * self._grid_w
-        best = int(np.argmax(net))
-        if net[best] <= 0:
-            return 0.0
-        return float(self._grid_w[best])
+        return float(optimal_demands_w([self], [price_per_kw_hour])[0])
 
     @classmethod
     def from_gain_samples(
@@ -95,16 +106,37 @@ class SpotValueCurve:
             raise ConfigurationError("grid_w must be strictly increasing")
         if grid.shape != raw.shape:
             raise ConfigurationError("grid_w and gains must align")
-        monotone = np.maximum.accumulate(np.maximum(raw, 0.0))
-        increments = np.diff(monotone) / np.diff(grid)
-        concave_inc = np.minimum.accumulate(increments)
-        concave = np.concatenate([[monotone[0]], monotone[0] + np.cumsum(concave_inc * np.diff(grid))])
         return cls(
             base_power_w=base_power_w,
             max_spot_w=float(grid[-1]),
             _grid_w=grid,
-            _gains=concave,
+            _gains=_concavify(grid, raw),
         )
+
+
+def optimal_demands_w(curves, prices_per_kw_hour) -> np.ndarray:
+    """The optimal demand of each curve at its own price, in one pass.
+
+    ``prices_per_kw_hour`` has one price per curve on its last axis (a
+    leading axis evaluates several price sets); the curves share one
+    grid length (curves built with the same ``grid_points`` do).  Each
+    result is the largest grid quantity maximising the net benefit
+    ``gain - price x quantity`` — the inverse-marginal solution up to
+    grid resolution, concave gains — or 0 when no quantity has a
+    positive net benefit.
+    """
+    curves = list(curves)
+    prices = np.asarray(prices_per_kw_hour, dtype=float)
+    if not curves:
+        return np.zeros(prices.shape)
+    grids = np.stack([c._grid_w for c in curves])
+    gains = np.stack([c._gains for c in curves])
+    # Net benefit at each grid point; the first argmax wins a tie.
+    net = gains - (prices / 1000.0)[..., None] * grids
+    best = np.argmax(net, axis=-1)[..., None]
+    top = np.take_along_axis(net, best, axis=-1)[..., 0]
+    at = np.take_along_axis(np.broadcast_to(grids, net.shape), best, axis=-1)[..., 0]
+    return np.where(top <= 0, 0.0, at)
 
 
 def sprinting_value_curve(
@@ -130,15 +162,44 @@ def sprinting_value_curve(
         max_spot_w: Rack spot headroom ``P_r^R``.
         grid_points: Tabulation resolution.
     """
-    if max_spot_w <= 0:
-        raise ConfigurationError("max_spot_w must be positive")
-    grid = np.linspace(0.0, max_spot_w, grid_points + 1)
-    base_cost = cost_model.cost_rate_per_hour(
-        latency_model.latency_ms(base_power_w, arrival_rps), arrival_rps
+    (curve,) = sprinting_value_curves(
+        [latency_model], [cost_model], [base_power_w], [arrival_rps], [max_spot_w],
+        grid_points,
     )
-    latencies = latency_model.latency_ms_array(base_power_w + grid, arrival_rps)
-    gains = base_cost - cost_model.cost_rate_per_hour_array(latencies, arrival_rps)
-    return SpotValueCurve.from_gain_samples(base_power_w, grid, gains)
+    return curve
+
+
+def sprinting_value_curves(
+    latency_models,
+    cost_models,
+    base_power_w,
+    arrival_rps,
+    max_spot_w,
+    grid_points: int = 100,
+) -> list[SpotValueCurve]:
+    """:func:`sprinting_value_curve` for many racks in one array pass.
+
+    Every argument but ``grid_points`` has one entry per rack; the
+    curves come back in that order, each bit-identical to building it
+    alone.  The tabulation is a ``(grid_points + 1) x racks`` block, one
+    column per rack, evaluated with per-rack model columns.
+    """
+    base = np.asarray(base_power_w, dtype=float)
+    rate = np.asarray(arrival_rps, dtype=float)
+    stop = np.asarray(max_spot_w, dtype=float)
+    if (stop <= 0).any():
+        raise ConfigurationError("max_spot_w must be positive")
+    if (rate < 0).any():
+        raise ConfigurationError(f"arrival_rps must be >= 0, got {float(rate.min())}")
+    latency = LatencyColumns(latency_models)
+    a, b, slo = np.array(
+        [(c.a, c.b, c.slo_ms) for c in cost_models], dtype=float
+    ).reshape(-1, 3).T
+    grid = np.linspace(0.0, stop, grid_points + 1)
+    # Row 0 is the base budget, rows 1.. the grid: one pass for both.
+    budgets = np.concatenate([base[None, :], base + grid])
+    costs = sprinting_cost_rate(latency.latency_ms(budgets, rate), rate, a, b, slo)
+    return _curves(base, stop, grid, _concavify(grid, costs[0] - costs[1:]))
 
 
 def opportunistic_value_curve(
@@ -165,17 +226,55 @@ def opportunistic_value_curve(
         max_spot_w: Rack spot headroom ``P_r^R``.
         grid_points: Tabulation resolution.
     """
-    if max_spot_w <= 0:
-        raise ConfigurationError("max_spot_w must be positive")
+    (curve,) = opportunistic_value_curves(
+        [throughput_model], [cost_model], [base_power_w], backlog_units, [max_spot_w],
+        grid_points,
+    )
+    return curve
+
+
+def opportunistic_value_curves(
+    throughput_models,
+    cost_models,
+    base_power_w,
+    backlog_units: float,
+    max_spot_w,
+    grid_points: int = 100,
+) -> list[SpotValueCurve]:
+    """:func:`opportunistic_value_curve` for many racks in one array pass.
+
+    Per-rack arguments have one entry per rack and ``backlog_units`` is
+    shared; the curves come back in rack order, each bit-identical to
+    building it alone.
+    """
     if backlog_units < 0:
         raise ConfigurationError("backlog_units must be >= 0")
-    grid = np.linspace(0.0, max_spot_w, grid_points + 1)
-    base_rate = throughput_model.rate_at(base_power_w)
-    if backlog_units == 0 or base_rate <= 0:
-        # No backlog (nothing to speed up) or base budget below idle (the
-        # tenant needs guaranteed capacity, not spot, to make progress).
-        gains = np.zeros_like(grid)
-        return SpotValueCurve.from_gain_samples(base_power_w, grid, gains)
-    rates = throughput_model.rate_at_array(base_power_w + grid)
-    gains = cost_model.rho * 3600.0 * (1.0 - base_rate / np.maximum(rates, 1e-12))
-    return SpotValueCurve.from_gain_samples(base_power_w, grid, gains)
+    base = np.asarray(base_power_w, dtype=float)
+    stop = np.asarray(max_spot_w, dtype=float)
+    if (stop <= 0).any():
+        raise ConfigurationError("max_spot_w must be positive")
+    model = ThroughputColumns(throughput_models)
+    rho = np.array([c.rho for c in cost_models], dtype=float)
+    grid = np.linspace(0.0, stop, grid_points + 1)
+    # Row 0 is the base budget, rows 1.. the grid: one pass for both.
+    rates = model.rate_at(np.concatenate([base[None, :], base + grid]))
+    base_rate, rates = rates[0], rates[1:]
+    gains = rho * 3600.0 * (1.0 - base_rate / np.maximum(rates, 1e-12))
+    # No backlog (nothing to speed up) or base budget below idle (the
+    # tenant needs guaranteed capacity, not spot, to make progress).
+    idle = (base_rate <= 0) | (backlog_units == 0)
+    gains = np.where(idle, 0.0, gains)
+    return _curves(base, stop, grid, _concavify(grid, gains))
+
+
+def _curves(base, stop, grid, gains) -> list[SpotValueCurve]:
+    """One curve per column of a ``(grid point x rack)`` tabulation."""
+    return [
+        SpotValueCurve(
+            base_power_w=float(base[k]),
+            max_spot_w=float(stop[k]),
+            _grid_w=grid[:, k].copy(),
+            _gains=gains[:, k].copy(),
+        )
+        for k in range(len(stop))
+    ]

@@ -51,6 +51,7 @@ from repro.economics.settlement import build_all_invoices, reconcile
 from repro.errors import OperatorCrash, SimulationError
 from repro.events import DeratingCascade, EdrShock, EventProfile, PriceSpike
 from repro.experiments.common import parallel_map
+from repro.power.elementwise import ordered_sum
 from repro.recovery import latest_checkpoint
 from repro.resilience import FaultProfile
 from repro.sim.engine import run_simulation
@@ -276,8 +277,8 @@ def run_edr_cell(
             f"shock schedule {name!r} produced no events report"
         )
     invoices = build_all_invoices(spot)
-    credited = sum(n.dollars for n in spot.credit_notes)
-    invoice_credits = sum(i.spot_credit for i in invoices)
+    credited = ordered_sum([n.dollars for n in spot.credit_notes])
+    invoice_credits = ordered_sum([i.spot_credit for i in invoices])
     windows = _event_windows(profile)
     spot_during, spot_after = _overload_split(spot, windows)
     capped_during, capped_after = _overload_split(capped, windows)

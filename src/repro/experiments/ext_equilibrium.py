@@ -27,6 +27,7 @@ from repro.analysis.reporting import format_kv, format_table
 from repro.config import DEFAULT_SEED, make_rng
 from repro.core.equilibrium import BestResponseSimulator, Bidder
 from repro.economics.valuation import SpotValueCurve
+from repro.power.elementwise import ordered_sum
 
 __all__ = ["EquilibriumStudy", "run_equilibrium_study", "render_equilibrium_study"]
 
@@ -133,8 +134,8 @@ def run_equilibrium_study(
         equilibrium_revenue=eq_result.revenue_rate,
         guideline_sold_w=guideline_sold,
         equilibrium_sold_w=outcome.total_granted_w[-1],
-        guideline_surplus=float(sum(guideline_benefits.values())),
-        equilibrium_surplus=float(sum(outcome.net_benefits.values())),
+        guideline_surplus=ordered_sum(list(guideline_benefits.values())),
+        equilibrium_surplus=ordered_sum(list(outcome.net_benefits.values())),
         strategies=outcome.strategies,
     )
 

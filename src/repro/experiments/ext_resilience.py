@@ -35,6 +35,7 @@ from repro.core.baselines import PowerCappedAllocator
 from repro.economics.settlement import build_all_invoices, reconcile
 from repro.errors import OperatorCrash, SimulationError
 from repro.experiments.common import parallel_map
+from repro.power.elementwise import ordered_sum
 from repro.recovery import latest_checkpoint
 from repro.resilience import FAULT_CLASSES, FaultProfile
 from repro.sim.engine import run_simulation
@@ -255,7 +256,7 @@ def run_resilience_cell(
         deratings=log.count("derating_start") if log is not None else 0,
         revocations=sum(1 for a in actions if a.kind == "revoke"),
         emergency_caps=sum(1 for a in actions if a.kind == "emergency_cap"),
-        credited_dollars=sum(n.dollars for n in spotdc.credit_notes),
+        credited_dollars=ordered_sum([n.dollars for n in spotdc.credit_notes]),
         spot_overload_slots=spot_ups + spot_pdu,
         capped_overload_slots=capped_ups + capped_pdu,
         invariant_ok=(spot_ups <= capped_ups and spot_pdu <= capped_pdu),

@@ -23,6 +23,7 @@ from repro.core.bids import RackBid
 from repro.core.clearing import MarketClearing
 from repro.core.demand import LinearBid
 from repro.core.frame import BidFrame
+from repro.power.elementwise import ordered_sum
 
 __all__ = [
     "PduVariationResult",
@@ -151,7 +152,7 @@ def make_synthetic_bids(
         )
         pdu_demand[pdu_id] = pdu_demand.get(pdu_id, 0.0) + d_max
     pdu_spot = {p: total / 3.0 for p, total in pdu_demand.items()}
-    ups_spot = sum(pdu_spot.values()) / 1.5
+    ups_spot = ordered_sum(list(pdu_spot.values())) / 1.5
     return bids, pdu_spot, ups_spot
 
 

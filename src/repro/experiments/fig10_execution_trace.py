@@ -70,10 +70,13 @@ def run_fig10(
     engine = SimulationEngine(scenario)
     result = engine.run(max(search_slots, slots))
     collector = result.collector
-    sprint = np.asarray(sum(collector.rack_granted_array(r) for r in _PDU1_SPRINT))
-    opportunistic = np.asarray(
-        sum(collector.rack_granted_array(r) for r in _PDU1_OPPORTUNISTIC)
-    )
+    # Racks add left to right, slot by slot (as builtin sum() did).
+    sprint = np.add.accumulate(
+        [collector.rack_granted_array(r) for r in _PDU1_SPRINT], axis=0
+    )[-1] + 0.0
+    opportunistic = np.add.accumulate(
+        [collector.rack_granted_array(r) for r in _PDU1_OPPORTUNISTIC], axis=0
+    )[-1] + 0.0
     available = collector.forecast_ups_array()
     price = collector.price_array()
 

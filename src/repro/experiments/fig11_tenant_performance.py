@@ -72,16 +72,19 @@ def run_fig11(
     # (PowerCapped violates, SpotDC does not — extreme overloads beyond
     # the rack's full power are unfixable and uninteresting to plot) and
     # where throughput racks hold grants (visible speed-up).
-    rescues = sum(
-        (
+    rescues = np.sum(
+        [
             capped.collector.rack_slo_violation_array(r)
             & ~spotdc.collector.rack_slo_violation_array(r)
-        ).astype(int)
-        for r in _LATENCY_RACKS
+            for r in _LATENCY_RACKS
+        ],
+        axis=0,
+        dtype=int,
     )
-    boosts = sum(
-        (spotdc.collector.rack_granted_array(r) > 0.5).astype(int)
-        for r in _THROUGHPUT_RACKS
+    boosts = np.sum(
+        [spotdc.collector.rack_granted_array(r) > 0.5 for r in _THROUGHPUT_RACKS],
+        axis=0,
+        dtype=int,
     )
     kernel = np.ones(slots)
     scores = np.convolve(rescues, kernel, mode="valid") + 0.5 * np.convolve(

@@ -18,6 +18,7 @@ import dataclasses
 from repro.analysis.reporting import format_series
 from repro.config import DEFAULT_SEED
 from repro.experiments.common import DEFAULT_SLOTS, run_comparison
+from repro.power.elementwise import ordered_sum
 from repro.tenants.bidding import (
     FullCurveStrategy,
     LinearElasticStrategy,
@@ -80,7 +81,7 @@ def run_fig14(
                 )
                 for t in runs.spotdc.participating_tenant_ids()
             ]
-            perf[name].append(sum(ratios) / len(ratios))
+            perf[name].append(ordered_sum(ratios) / len(ratios))
             if name == "LinearBid":
                 spot_fractions.append(runs.spotdc.average_spot_fraction())
     return DemandFunctionSweep(

@@ -440,7 +440,7 @@ class Ar1Signal(Signal):
         pdu_sigma = {}
         total_var = 0.0
         for pdu_id, pdu in topology.pdus.items():
-            var = sum(residual_var.get(rid, 0.0) for rid in pdu.rack_ids)
+            var = ordered_sum([residual_var.get(rid, 0.0) for rid in pdu.rack_ids])
             pdu_sigma[pdu_id] = var**0.5
             total_var += var
         return self._gaussian_band(point, topology, pdu_sigma, total_var**0.5)

@@ -22,6 +22,7 @@ from collections.abc import Iterable, Mapping
 
 from repro.errors import ConfigurationError, TopologyError
 from repro.infrastructure.topology import PowerTopology
+from repro.power.elementwise import ordered_sum
 
 __all__ = [
     "CapacityConstraint",
@@ -153,9 +154,11 @@ class PhaseAssignment:
         for static in self.constraints(imbalance_tolerance):
             # Sorted: frozenset order follows the hash seed, and a float
             # sum follows its order.
-            draw = sum(
-                self._topology.rack(rack_id).power_w
-                for rack_id in sorted(static.rack_ids)
+            draw = ordered_sum(
+                [
+                    self._topology.rack(rack_id).power_w
+                    for rack_id in sorted(static.rack_ids)
+                ]
             )
             headroom = max(0.0, static.cap_w * (1 - safety_margin) - draw)
             constraints.append(

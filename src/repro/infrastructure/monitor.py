@@ -82,8 +82,9 @@ class PowerMonitor:
 
     def record_slot(
         self,
-        rack_power_w: Mapping[str, float],
-        metered_power_w: Mapping[str, float] | None = None,
+        rack_power_w: Mapping[str, float] | np.ndarray,
+        metered_power_w: Mapping[str, float] | np.ndarray | None = None,
+        total_order: np.ndarray | None = None,
     ) -> None:
         """Record one slot of rack power samples.
 
@@ -92,16 +93,62 @@ class PowerMonitor:
         as it was.
 
         Args:
-            rack_power_w: True physical power draw per rack id.  Every
-                rack in the topology must be present — partial telemetry
-                would silently corrupt PDU aggregates.
-            metered_power_w: Operator-visible meter readings per rack id
-                (defaults to the true draws).  Under meter-fault
+            rack_power_w: True physical power draw per rack: a mapping
+                of rack id to watts, or a float row in :attr:`rack_ids`
+                order.  Every rack in the topology must be present —
+                partial telemetry would silently corrupt PDU aggregates.
+            metered_power_w: Operator-visible meter readings, in the same
+                form (defaults to the true draws).  Under meter-fault
                 injection these diverge: the metered values feed the
                 retained series (and hence the spot-capacity predictor
                 and energy accounting), while the true draws stay on the
                 topology and in the true-series shadow.
+            total_order: For rows, the rack positions in the order the
+                facility total adds them (default: row order).  A
+                mapping's total adds in the mapping's own order.
         """
+        layout = self._layout
+        if isinstance(rack_power_w, Mapping):
+            true_values, true_row, metered_row, ups_total = self._mapping_rows(
+                rack_power_w, metered_power_w
+            )
+        else:
+            true_row = np.asarray(rack_power_w, dtype=float)
+            if true_row.shape != (len(layout.rack_ids),):
+                raise SimulationError(
+                    f"power row has shape {true_row.shape}, expected "
+                    f"({len(layout.rack_ids)},)"
+                )
+            if (true_row < 0).any():
+                first = int(np.flatnonzero(true_row < 0)[0])
+                raise CapacityError(
+                    f"rack {layout.rack_ids[first]}: negative power "
+                    f"{true_row[first]} W"
+                )
+            metered_row = (
+                true_row
+                if metered_power_w is None
+                else np.asarray(metered_power_w, dtype=float)
+            )
+            true_values = true_row.tolist()
+            ups_total = ordered_sum(
+                metered_row if total_order is None else metered_row[total_order]
+            )
+
+        if self._true_rack_rows is None and metered_row is not true_row:
+            if (metered_row != true_row).any():
+                # First divergence: shadow the (identical so far) history.
+                self._true_rack_rows = self._rack_rows.copy()
+        layout.record_powers(true_values)
+        self._rack_rows.append(metered_row)
+        if self._true_rack_rows is not None:
+            self._true_rack_rows.append(true_row)
+        self._pdu_rows.append(layout.pdu_totals(metered_row))
+        self._ups_rows.append(ups_total)
+        self._slots_recorded += 1
+
+    def _mapping_rows(self, rack_power_w, metered_power_w):
+        """Validated rows of a mapping sample, and its facility total."""
         layout = self._layout
         index = layout.index
         if rack_power_w.keys() != index.keys():
@@ -132,18 +179,7 @@ class PowerMonitor:
                 [metered[rack_id] for rack_id in layout.rack_ids], dtype=float
             )
         ups_total = ordered_sum(np.fromiter(metered.values(), dtype=float))
-
-        if self._true_rack_rows is None and metered_row is not true_row:
-            if (metered_row != true_row).any():
-                # First divergence: shadow the (identical so far) history.
-                self._true_rack_rows = self._rack_rows.copy()
-        layout.record_powers(true_values)
-        self._rack_rows.append(metered_row)
-        if self._true_rack_rows is not None:
-            self._true_rack_rows.append(true_row)
-        self._pdu_rows.append(layout.pdu_totals(metered_row))
-        self._ups_rows.append(ups_total)
-        self._slots_recorded += 1
+        return true_values, true_row, metered_row, ups_total
 
     # ------------------------------------------------------------------
     # Row readers

@@ -19,6 +19,7 @@ import dataclasses
 from collections.abc import Mapping
 
 from repro.errors import ConfigurationError
+from repro.power.elementwise import ordered_sum
 
 __all__ = ["OversubscriptionPlan"]
 
@@ -58,7 +59,7 @@ class OversubscriptionPlan:
         Matches the paper's testbed arithmetic:
         ``1370 W = (715 W + 724 W) / 1.05``.
         """
-        total = sum(pdu_capacities_w.values())
+        total = ordered_sum(list(pdu_capacities_w.values()))
         if total <= 0:
             raise ConfigurationError("PDU capacities must sum to a positive value")
         return total / self.ups_ratio

@@ -36,10 +36,19 @@ def py_max(a, b) -> np.ndarray:
     return np.where(b > a, b, a)
 
 
-def pow_each(x: np.ndarray, exponent: float) -> np.ndarray:
-    """``x ** exponent`` per element, with Python's float power."""
+def pow_each(x: np.ndarray, exponent) -> np.ndarray:
+    """``x ** exponent`` per element, with Python's float power.
+
+    ``exponent`` is one float for every element, or an array of them
+    shaped like ``x`` (one exponent per rack, say).
+    """
     values = np.asarray(x, dtype=float)
-    flat = [u ** exponent for u in values.ravel().tolist()]
+    if np.size(exponent) == 1:
+        exponent = exponent if np.ndim(exponent) == 0 else float(np.ravel(exponent)[0])
+        flat = [u ** exponent for u in values.ravel().tolist()]
+    else:
+        powers = np.broadcast_to(np.asarray(exponent, dtype=float), values.shape)
+        flat = [u ** e for u, e in zip(values.ravel().tolist(), powers.ravel().tolist())]
     return np.array(flat, dtype=float).reshape(values.shape)
 
 

@@ -35,7 +35,29 @@ from repro.errors import ConfigurationError
 from repro.power.elementwise import pow_each, py_max, py_min
 from repro.power.server import ServerPowerModel
 
-__all__ = ["LatencyModel"]
+__all__ = ["LatencyColumns", "LatencyModel"]
+
+
+def _frequency(power_w, idle, span, inv_alpha, min_frequency) -> np.ndarray:
+    """:meth:`LatencyModel.frequency` elementwise; parameters broadcast."""
+    shifted = np.asarray(power_w, dtype=float) - idle
+    usable = py_min(py_max(shifted, 0.0), span)
+    f = pow_each(usable / span, inv_alpha)
+    return py_max(min_frequency, py_min(1.0, f))
+
+
+def _latency(power_w, arrival, idle, span, inv_alpha, mu_max, d_min, tail,
+             min_frequency, saturated_ms) -> np.ndarray:
+    """:meth:`LatencyModel.latency_ms` elementwise; parameters broadcast."""
+    f = _frequency(power_w, idle, span, inv_alpha, min_frequency)
+    mu = mu_max * f
+    saturated = arrival >= mu
+    # Saturated elements take rho = 0 only to keep 1 - rho nonzero;
+    # their latency is replaced below.
+    rho = np.where(saturated, 0.0, arrival / mu)
+    latency = d_min / f + (tail / mu) * rho / (1 - rho)
+    capped = py_min(latency, saturated_ms)
+    return np.where(saturated, saturated_ms, capped)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -88,11 +110,13 @@ class LatencyModel:
 
     def frequency_array(self, power_w: np.ndarray) -> np.ndarray:
         """:meth:`frequency` over an array of power budgets."""
-        span = self.power_model.dynamic_range_w
-        shifted = np.asarray(power_w, dtype=float) - self.power_model.idle_w
-        usable = py_min(py_max(shifted, 0.0), span)
-        f = pow_each(usable / span, 1.0 / self.alpha)
-        return py_max(self.min_frequency, py_min(1.0, f))
+        return _frequency(
+            power_w,
+            self.power_model.idle_w,
+            self.power_model.dynamic_range_w,
+            1.0 / self.alpha,
+            self.min_frequency,
+        )
 
     def service_rate_rps(self, power_w: float) -> float:
         """Sustainable request service rate at a power budget."""
@@ -126,15 +150,18 @@ class LatencyModel:
             raise ConfigurationError(
                 f"arrival_rps must be >= 0, got {float(arrival.min())}"
             )
-        f = self.frequency_array(power_w)
-        mu = self.mu_max_rps * f
-        saturated = arrival >= mu
-        # Saturated elements take rho = 0 only to keep 1 - rho nonzero;
-        # their latency is replaced below.
-        rho = np.where(saturated, 0.0, arrival / mu)
-        latency = self.d_min_ms / f + (self.tail_const_ms_rps / mu) * rho / (1 - rho)
-        capped = py_min(latency, self.saturated_latency_ms)
-        return np.where(saturated, self.saturated_latency_ms, capped)
+        return _latency(
+            power_w,
+            arrival,
+            self.power_model.idle_w,
+            self.power_model.dynamic_range_w,
+            1.0 / self.alpha,
+            self.mu_max_rps,
+            self.d_min_ms,
+            self.tail_const_ms_rps,
+            self.min_frequency,
+            self.saturated_latency_ms,
+        )
 
     def power_for_latency(
         self, target_ms: float, arrival_rps: float, tolerance_w: float = 0.01
@@ -182,3 +209,57 @@ class LatencyModel:
             lo = np.where(active & ~meets, mid, lo)
             active &= hi - lo > tolerance_w
         return hi
+
+
+class LatencyColumns:
+    """Several racks' latency models as parameter columns.
+
+    Element ``k`` of every column holds model ``k``'s parameter, so
+    :meth:`latency_ms` evaluates each model on its own column of budgets
+    in one pass, bit-identical to :meth:`LatencyModel.latency_ms`.
+
+    Args:
+        models: One latency model per rack.
+    """
+
+    def __init__(self, models) -> None:
+        (
+            self.idle,
+            self.span,
+            self.inv_alpha,
+            self.mu_max,
+            self.d_min,
+            self.tail,
+            self.min_frequency,
+            self.saturated,
+        ) = np.array(
+            [
+                (
+                    m.power_model.idle_w,
+                    m.power_model.dynamic_range_w,
+                    1.0 / m.alpha,
+                    m.mu_max_rps,
+                    m.d_min_ms,
+                    m.tail_const_ms_rps,
+                    m.min_frequency,
+                    m.saturated_latency_ms,
+                )
+                for m in models
+            ],
+            dtype=float,
+        ).reshape(-1, 8).T.copy()
+
+    def latency_ms(self, power_w: np.ndarray, arrival_rps: np.ndarray) -> np.ndarray:
+        """Tail latency per model; the last axis of both arrays is the model."""
+        return _latency(
+            power_w,
+            np.asarray(arrival_rps, dtype=float),
+            self.idle,
+            self.span,
+            self.inv_alpha,
+            self.mu_max,
+            self.d_min,
+            self.tail,
+            self.min_frequency,
+            self.saturated,
+        )

@@ -26,7 +26,8 @@ is refused by its version before its engine is ever unpickled.  Format
 collector's telemetry became one float64 row per slot, so a format-4
 file is refused like any other mismatch.  Format 6 removed the
 standalone prediction package whose objects format-5 engines pickled;
-such a file is refused by its version, not by a failed import.  Writes
+such a file is refused by its version, not by a failed import.  Format
+7 moved batch backlogs into the tenant fleet's shared column.  Writes
 are atomic (temp file + :func:`os.replace`) so a crash
 *during* checkpointing leaves the previous checkpoint intact.
 """
@@ -62,7 +63,10 @@ __all__ = [
 #: 6: the prediction package folded into :mod:`repro.forecast` (signals
 #: no longer carry a ``predictor``) and the engine dropped its legacy
 #: predictor and reference-window attributes.
-CHECKPOINT_FORMAT = 6
+#: 7: batch workloads keep their backlog as a float or a bound
+#: ``(column, index)`` cell of the tenant fleet's backlog column, and the
+#: run state dropped its per-rack guaranteed-capacity map.
+CHECKPOINT_FORMAT = 7
 
 _MAGIC = "spotdc-checkpoint"
 _NAME_RE = re.compile(r"^checkpoint_(\d{6,})\.pkl$")

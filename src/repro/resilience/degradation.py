@@ -43,6 +43,7 @@ from repro.core.allocation import AllocationResult
 from repro.core.market import SlotMarketRecord
 from repro.errors import ConfigurationError
 from repro.infrastructure.topology import PowerTopology
+from repro.power.elementwise import ordered_sum
 
 __all__ = [
     "ControlAction",
@@ -206,7 +207,8 @@ class DegradationController:
 
     def credited_dollars(self) -> float:
         """Total settlement credits across the run."""
-        return sum(note.dollars for note in self._credits)
+        # No credits: int 0, as builtin sum() gave (summaries print it).
+        return ordered_sum([note.dollars for note in self._credits]) if self._credits else 0
 
     # ------------------------------------------------------------------
     # Per-slot enforcement

@@ -36,6 +36,7 @@ from repro.infrastructure.pdu import Pdu
 from repro.infrastructure.rack import Rack
 from repro.infrastructure.topology import PowerTopology
 from repro.infrastructure.ups import Ups
+from repro.power.elementwise import ordered_sum
 from repro.power.latency import LatencyModel
 from repro.power.server import ServerPowerModel
 from repro.sim.scenario import (
@@ -544,7 +545,7 @@ class ScenarioBuilder:
         if not pdus:
             raise ConfigurationError("every declared PDU is empty")
         ups_capacity = (
-            sum(p.capacity_w for p in pdus) / self.ups_oversubscription
+            ordered_sum([p.capacity_w for p in pdus]) / self.ups_oversubscription
         )
         racks = [
             Rack(

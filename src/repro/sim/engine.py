@@ -49,6 +49,8 @@ from __future__ import annotations
 
 import dataclasses
 
+import numpy as np
+
 from repro.config import MarketParameters
 from repro.core.market import Allocator, SlotMarketRecord, SpotDCAllocator
 from repro.economics.profit import OperatorLedger
@@ -59,7 +61,7 @@ from repro.forecast.release import RiskAwareReleasePolicy
 from repro.forecast.signals import CurrentDrawSignal, Signal
 from repro.infrastructure.emergencies import EmergencyLog
 from repro.infrastructure.monitor import PowerMonitor
-from repro.power.elementwise import ordered_sum
+from repro.power.elementwise import ordered_sum, py_min
 from repro.recovery.checkpoint import load_checkpoint, save_checkpoint
 from repro.recovery.deadline import (
     ClearingDeadlineGuard,
@@ -72,7 +74,7 @@ from repro.sim.results import SimulationResult
 from repro.sim.scenario import Scenario
 from repro.telemetry import Telemetry, default_config
 from repro.telemetry.registry import DEFAULT_PRICE_BUCKETS, DEFAULT_WATTS_BUCKETS
-from repro.workloads.base import SlotPerformance
+from repro.tenants.fleet import RackFleet
 
 __all__ = ["SimulationEngine", "run_simulation"]
 
@@ -119,7 +121,6 @@ class _RunState:
         g_forecast_error,
         m_forecast_slots,
         m_forecast_covered,
-        guaranteed_by_rack,
         faults_seen,
         actions_seen,
         credits_seen,
@@ -146,7 +147,6 @@ class _RunState:
         self.g_forecast_error = g_forecast_error
         self.m_forecast_slots = m_forecast_slots
         self.m_forecast_covered = m_forecast_covered
-        self.guaranteed_by_rack = guaranteed_by_rack
         # Released-forecast accuracy accumulators (summary JSON).
         self.forecast_error_sum = 0.0
         self.forecast_abs_error_sum = 0.0
@@ -300,6 +300,9 @@ class SimulationEngine:
         self._quarantined_by_tenant: dict[str, int] = {}
         # Active run state; set by begin_run, cleared by finish_run.
         self._run: _RunState | None = None
+        # The tenants' racks as columns; built by begin_run, never
+        # checkpointed (it derives from the tenants).
+        self._fleet: RackFleet | None = None
         deadline = getattr(scenario, "clearing_deadline_s", None)
         if deadline is None or deadline is False:
             self.deadline_guard = None
@@ -368,6 +371,9 @@ class SimulationEngine:
             # resume the checkpointed streams are mid-sequence and must
             # not be reset.
             scenario.prepare(slots)
+        # Built after prepare (it gathers the prepared traces) and, on
+        # resume, from the checkpointed tenants.
+        self._fleet = RackFleet(scenario.tenants, scenario.topology.layout)
         participants = scenario.participating_tenants()
         slot_seconds = scenario.slot_seconds
         total_guaranteed = scenario.total_guaranteed_w()
@@ -410,10 +416,6 @@ class SimulationEngine:
             g_forecast_error=registry.gauge("forecast_error_watts"),
             m_forecast_slots=registry.counter("forecast_slots_total"),
             m_forecast_covered=registry.counter("forecast_covered_total"),
-            guaranteed_by_rack={
-                rack_id: rack.guaranteed_w
-                for rack_id, rack in scenario.topology.racks.items()
-            },
             faults_seen=len(injector.log) if injector is not None else 0,
             actions_seen=(
                 len(self.degradation.actions)
@@ -433,6 +435,13 @@ class SimulationEngine:
             # the resumed one (later scheduled crashes still do).
             injector.disarm_next_crash(start_slot)
         return start_slot
+
+    def __getstate__(self) -> dict:
+        # The fleet is derived state: checkpoints leave it out and
+        # begin_run builds it again.
+        state = self.__dict__.copy()
+        state["_fleet"] = None
+        return state
 
     def _require_run(self) -> _RunState:
         if self._run is None:
@@ -488,11 +497,11 @@ class SimulationEngine:
                 # the reserve price is pinned before the clear.
                 absorber.on_slot_start(slot, topology, self.allocator, tracer)
 
-            requesting = frozenset(
-                rack_id
-                for tenant in participants
-                for rack_id in tenant.needed_spot_w(slot)
-            )
+            fleet = self._fleet
+            # Each rack's spot need, once: the forecast, the bids and the
+            # collector all read it.
+            need = fleet.need(slot)
+            requesting = need.rack_ids
             with tracer.span("predict", slot=slot) as predict_span:
                 # The signal reads the operator's *metered* telemetry —
                 # under meter faults its references can be wrong, which
@@ -577,6 +586,7 @@ class SimulationEngine:
                     tracer=tracer,
                     submitted_bids=submitted_bids,
                     duplicated=duplicated,
+                    fleet=fleet,
                 )
                 if guard is not None and guard.over_budget(
                     guard.elapsed(started)
@@ -740,29 +750,31 @@ class SimulationEngine:
                 # Tenants execute the slot under their enforced budgets —
                 # as set on the rack PDUs, which is where lost/stale
                 # deliveries and degradation-control revocations are
-                # visible.
-                # One facility-wide map: every tenant reads its own racks.
-                budgets = {
-                    rack_id: rack.budget_w
-                    for rack_id, rack in topology.racks.items()
-                }
-                outcomes: dict[str, SlotPerformance] = {}
-                for tenant in scenario.tenants:
-                    outcomes.update(
-                        tenant.execute_slot(slot, budgets, slot_seconds)
-                    )
-
-                rack_power = {rid: perf.power_w for rid, perf in outcomes.items()}
+                # visible.  Rows come back in tenant (collector) order.
+                layout = topology.layout
+                power, value, slo_violated = fleet.execute(
+                    slot, layout.guaranteed_w + layout.spot_row(), slot_seconds
+                )
                 metered = None
                 if injector is not None and injector.has_meter_faults:
-                    metered = {
-                        rid: injector.metered_power_w(slot, rid, watts)
-                        for rid, watts in rack_power.items()
-                    }
+                    metered = fleet.to_layout(
+                        np.array(
+                            [
+                                injector.metered_power_w(slot, rid, watts)
+                                for rid, watts in zip(fleet.rack_ids, power.tolist())
+                            ],
+                            dtype=float,
+                        )
+                    )
                     st.faults_seen = self._emit_fault_events(
                         injector, st.faults_seen, slot
                     )
-                self.monitor.record_slot(rack_power, metered)
+                # The facility total adds racks in tenant order.
+                self.monitor.record_slot(
+                    fleet.to_layout(power),
+                    metered,
+                    None if fleet.in_layout_order else fleet.layout_index,
+                )
                 emergencies = self.emergencies.scan(topology, slot)
                 for emergency in emergencies:
                     tracer.event(
@@ -810,9 +822,11 @@ class SimulationEngine:
                     forecast_pdu_total_w=forecast.total_pdu_spot_w,
                     ups_power_w=self.monitor.latest_ups_power_w(),
                     pdu_power_w=self.monitor.latest_pdu_powers(),
-                    rack_outcomes=outcomes,
+                    rack_power_w=power,
+                    rack_value=value,
+                    rack_slo_violated=slo_violated,
                     payments=payments,
-                    wanted_rack_ids=requesting,
+                    rack_wanted=need.wanted,
                     pdu_prices=record.result.pdu_prices,
                 )
                 if slot > 0:
@@ -822,10 +836,7 @@ class SimulationEngine:
                     # the non-spot draws the predictor's references
                     # stand in for).  Registry-only — traces untouched.
                     nonspot_w = ordered_sum(
-                        [
-                            min(perf.power_w, st.guaranteed_by_rack[rid])
-                            for rid, perf in outcomes.items()
-                        ]
+                        py_min(power, layout.guaranteed_w[fleet.layout_index])
                     )
                     realized_w = max(
                         0.0,

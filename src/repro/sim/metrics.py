@@ -17,20 +17,14 @@ an array built from a per-id list.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from operator import attrgetter
 
 import numpy as np
 
 from repro.errors import SimulationError
 from repro.infrastructure.layout import SlotRows
 from repro.power.elementwise import ordered_sum
-from repro.workloads.base import SlotPerformance
 
 __all__ = ["MetricsCollector"]
-
-_power_of = attrgetter("power_w")
-_value_of = attrgetter("value")
-_slo_of = attrgetter("slo_violated")
 
 
 class MetricsCollector:
@@ -80,27 +74,36 @@ class MetricsCollector:
         forecast_pdu_total_w: float,
         ups_power_w: float,
         pdu_power_w: Mapping[str, float],
-        rack_outcomes: Mapping[str, SlotPerformance],
+        rack_power_w: np.ndarray,
+        rack_value: np.ndarray,
+        rack_slo_violated: np.ndarray,
         payments: Mapping[str, float],
-        wanted_rack_ids: frozenset[str] | set[str] = frozenset(),
+        rack_wanted: np.ndarray | None = None,
         pdu_prices: Mapping[str, float] | None = None,
     ) -> None:
         """Record everything observable about one completed slot.
 
-        ``wanted_rack_ids`` is the participation signal — racks whose
-        tenants requested spot capacity this slot, *independent of what
-        they were granted* (a rack that received everything it asked for
-        still "wanted" spot capacity; deriving the flag from the final
-        budget would bias performance averages toward under-granted
-        slots).
+        ``rack_power_w``, ``rack_value`` and ``rack_slo_violated`` are
+        rows in :attr:`rack_ids` order — the draw, the performance metric
+        and the SLO flag of every rack, as
+        :meth:`repro.tenants.fleet.RackFleet.execute` returns them.
+
+        ``rack_wanted`` is the participation signal, in the same order —
+        racks whose tenants requested spot capacity this slot,
+        *independent of what they were granted* (a rack that received
+        everything it asked for still "wanted" spot capacity; deriving
+        the flag from the final budget would bias performance averages
+        toward under-granted slots).  ``None`` means no rack did.
         """
-        try:
-            outcomes = [rack_outcomes[rack_id] for rack_id in self.rack_ids]
-        except KeyError:
-            missing = set(self.rack_ids) - set(rack_outcomes)
-            raise SimulationError(
-                f"missing outcomes for racks {sorted(missing)[:5]}"
-            ) from None
+        width = len(self.rack_ids)
+        rows = (rack_power_w, rack_value, rack_slo_violated)
+        if rack_wanted is not None:
+            rows += (rack_wanted,)
+        for row in rows:
+            if np.shape(row) != (width,):
+                raise SimulationError(
+                    f"rack row has shape {np.shape(row)}, expected ({width},)"
+                )
         self._price.append(price)
         # A slot without grants records int 0, as builtin sum() did.
         self._spot_granted.append(
@@ -115,12 +118,10 @@ class MetricsCollector:
         # Under locational pricing each PDU has its own price; under a
         # facility-wide price every PDU shares the headline price.
         self._pdu_price.append([pdu_prices.get(p, price) for p in self.pdu_ids])
-        self._rack_power.append(list(map(_power_of, outcomes)))
-        self._rack_perf.append(list(map(_value_of, outcomes)))
-        self._rack_slo_violation.append(list(map(_slo_of, outcomes)))
-        self._rack_wanted.append(
-            self._scatter(self._rack_column, ((r, True) for r in wanted_rack_ids), bool)
-        )
+        self._rack_power.append(rack_power_w)
+        self._rack_perf.append(rack_value)
+        self._rack_slo_violation.append(rack_slo_violated)
+        self._rack_wanted.append(False if rack_wanted is None else rack_wanted)
         self._rack_granted.append(
             self._scatter(self._rack_column, grants_w.items(), float)
         )

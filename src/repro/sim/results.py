@@ -17,6 +17,7 @@ import numpy as np
 from repro.economics.profit import OperatorLedger
 from repro.errors import SimulationError
 from repro.infrastructure.emergencies import EmergencyLog
+from repro.power.elementwise import ordered_sum
 from repro.sim.metrics import MetricsCollector
 
 __all__ = ["RackInfo", "TenantInfo", "SimulationResult"]
@@ -142,7 +143,7 @@ class SimulationResult:
 
     def total_guaranteed_w(self) -> float:
         """Facility-wide subscribed capacity."""
-        return sum(r.guaranteed_w for r in self.racks.values())
+        return ordered_sum([r.guaranteed_w for r in self.racks.values()])
 
     # ------------------------------------------------------------------
     # Tenant money

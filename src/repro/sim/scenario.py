@@ -33,6 +33,7 @@ from repro.errors import ConfigurationError
 from repro.events.profile import EventProfile
 from repro.forecast.profile import PredictionProfile
 from repro.infrastructure.topology import PowerTopology
+from repro.power.elementwise import ordered_sum
 from repro.power.server import ServerPowerModel
 from repro.resilience.profile import FaultProfile
 from repro.sim.results import RackInfo, TenantInfo
@@ -250,16 +251,18 @@ class Scenario:
 
     def overprovisioned_w(self) -> float:
         """Total rack-level headroom the operator paid to over-provision."""
-        return sum(
+        headroom = [
             rack.max_spot_w
             for tenant in self.tenants
             for rack in tenant.racks
             if tenant.participates
-        )
+        ]
+        # No participant: int 0, as builtin sum() gave.
+        return ordered_sum(headroom) if headroom else 0
 
     def total_guaranteed_w(self) -> float:
         """Facility-wide subscribed capacity."""
-        return sum(t.total_guaranteed_w for t in self.tenants)
+        return ordered_sum([t.total_guaranteed_w for t in self.tenants])
 
 
 def _finite_number(value) -> bool:

@@ -4,6 +4,7 @@ and the sprinting / opportunistic / non-participating tenant models.
 
 from repro.tenants.bundled import BundledSprintingTenant, TierWorkload
 from repro.tenants.composite import CompositeTenant
+from repro.tenants.fleet import RackFleet, SlotNeed
 from repro.tenants.misbehaving import MalformedBidTenant, OverdrawingTenant
 from repro.tenants.bidding import (
     BiddingStrategy,
@@ -37,7 +38,9 @@ __all__ = [
     "OverdrawingTenant",
     "PricePredictionStrategy",
     "RackBidContext",
+    "RackFleet",
     "SimpleNeededPowerStrategy",
+    "SlotNeed",
     "SprintingTenant",
     "StepStrategy",
     "Tenant",

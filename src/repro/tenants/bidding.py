@@ -22,9 +22,14 @@ strategies span the paper's comparisons:
 from __future__ import annotations
 
 import abc
+from collections.abc import Sequence
+
+import numpy as np
 
 from repro.core.demand import DemandFunction, FullBid, LinearBid, StepBid
+from repro.economics.valuation import optimal_demands_w
 from repro.errors import BidError
+from repro.power.elementwise import py_max, py_min
 from repro.tenants.portfolio import RackBidContext
 
 __all__ = [
@@ -63,14 +68,28 @@ class LinearElasticStrategy(BiddingStrategy):
     """
 
     def make_rack_bid(self, ctx: RackBidContext) -> DemandFunction | None:
-        if ctx.q_high < ctx.q_low:
-            raise BidError(f"q_high {ctx.q_high} below q_low {ctx.q_low}")
-        d_max = self._cap(ctx, ctx.value_curve.optimal_demand_w(ctx.q_low))
-        d_min = self._cap(ctx, ctx.value_curve.optimal_demand_w(ctx.q_high))
-        d_min = min(d_min, d_max)
-        if d_max < _MIN_USEFUL_W:
-            return None
-        return LinearBid(d_max, ctx.q_low, d_min, ctx.q_high)
+        (demand,) = self.make_rack_bids([ctx])
+        return demand
+
+    @staticmethod
+    def make_rack_bids(contexts: Sequence[RackBidContext]) -> list[DemandFunction | None]:
+        """:meth:`make_rack_bid` for many racks in one array pass.
+
+        The strategy is stateless, so the racks may belong to any
+        tenants; each demand is the one its context alone would get.
+        """
+        bad = next((c for c in contexts if c.q_high < c.q_low), None)
+        if bad is not None:
+            raise BidError(f"q_high {bad.q_high} below q_low {bad.q_low}")
+        cap = np.array([c.rack.max_spot_w for c in contexts], dtype=float)
+        prices = [[c.q_low for c in contexts], [c.q_high for c in contexts]]
+        optimal = optimal_demands_w([c.value_curve for c in contexts], prices)
+        d_max, d_min = py_max(0.0, py_min(optimal, cap))
+        d_min = py_min(d_min, d_max)
+        return [
+            None if hi < _MIN_USEFUL_W else LinearBid(hi, ctx.q_low, lo, ctx.q_high)
+            for ctx, hi, lo in zip(contexts, d_max.tolist(), d_min.tolist())
+        ]
 
 
 class SimpleNeededPowerStrategy(BiddingStrategy):

@@ -31,6 +31,7 @@ from repro.core.demand import LinearBid
 from repro.economics.cost import SprintingCostModel
 from repro.economics.valuation import SpotValueCurve
 from repro.errors import ConfigurationError, WorkloadError
+from repro.power.elementwise import ordered_sum
 from repro.power.latency import LatencyModel
 from repro.tenants.portfolio import TenantRack
 from repro.tenants.tenant import Tenant
@@ -220,7 +221,7 @@ class BundledSprintingTenant(Tenant):
             tier.rack.rack_id: tier.rack.useful_spot_w for tier in self._tiers
         }
         # Bounded by total headroom / increment steps.
-        max_steps = int(sum(limits.values()) / self.increment_w) + len(limits)
+        max_steps = int(ordered_sum(list(limits.values())) / self.increment_w) + len(limits)
         for _ in range(max_steps):
             best_rack = None
             best_gain = price_per_watt_hour * self.increment_w
@@ -320,7 +321,7 @@ class BundledSprintingTenant(Tenant):
         true performance regardless of how tiers split the budget.
         """
         tier_perfs = super().execute_slot(slot, budgets_w, slot_seconds)
-        e2e = sum(perf.value for perf in tier_perfs.values())
+        e2e = ordered_sum([perf.value for perf in tier_perfs.values()])
         return {
             rack_id: dataclasses.replace(
                 perf, value=e2e, slo_violated=e2e > self.slo_ms

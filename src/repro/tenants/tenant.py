@@ -11,29 +11,39 @@ Tenants are the demand side of SpotDC (paper Section II-C):
 * **Non-participating tenants** never bid; their (fluctuating) power
   draw is what creates — and reclaims — the shared spot capacity.
 
-Value curves are built on demand, one rack at a time, and cached: the
-opportunistic curve is independent of the backlog (the normalised gain
-depends only on the power model), and the sprinting curve is quantised
-over arrival rate, which keeps year-long simulations fast without
-changing bids materially.  A bid builds curves only for the racks that
-want spot capacity this slot.
+Value curves are built on demand and cached: the opportunistic curve is
+independent of the backlog (the normalised gain depends only on the
+power model), and the sprinting curve is quantised over arrival rate,
+which keeps year-long simulations fast without changing bids
+materially.  A bid builds curves only for the racks that want spot
+capacity this slot; :meth:`SprintingTenant.curves_for` and
+:meth:`OpportunisticTenant.curves_for` build the missing ones of many
+racks in one array pass.
+
+In an engine run, :class:`repro.tenants.fleet.RackFleet` computes these
+tenants' need and runs their racks over columns; the per-tenant
+``needed_spot_w`` / ``make_bid`` / ``execute_slot`` below are the same
+behaviour one tenant at a time — the path other tenant classes (and the
+tenants they wrap) take.
 """
 
 from __future__ import annotations
 
 import abc
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 
 import numpy as np
 
 from repro.core.bids import RackBid, TenantBid
+from repro.core.demand import DemandFunction
 from repro.economics.cost import OpportunisticCostModel, SprintingCostModel
 from repro.economics.valuation import (
     SpotValueCurve,
-    opportunistic_value_curve,
-    sprinting_value_curve,
+    opportunistic_value_curves,
+    sprinting_value_curves,
 )
 from repro.errors import ConfigurationError
+from repro.power.elementwise import ordered_sum
 from repro.tenants.bidding import BiddingStrategy, LinearElasticStrategy
 from repro.tenants.portfolio import RackBidContext, TenantRack
 from repro.workloads.base import BatchWorkload, InteractiveWorkload, SlotPerformance
@@ -74,7 +84,7 @@ class Tenant(abc.ABC):
     @property
     def total_guaranteed_w(self) -> float:
         """Total subscription across the tenant's racks."""
-        return sum(r.guaranteed_w for r in self.racks)
+        return ordered_sum([r.guaranteed_w for r in self.racks])
 
     def prepare(self, slots: int, rng: np.random.Generator) -> None:
         """Materialise all rack workload traces for a run."""
@@ -151,32 +161,57 @@ class _ParticipatingTenant(Tenant):
             if rack.useful_spot_w > 0
         }
 
+    def rack_context(
+        self,
+        rack: TenantRack,
+        needed_w: float,
+        value_curve: SpotValueCurve,
+        predicted_price: float | None,
+    ) -> RackBidContext:
+        """The strategy's view of one rack that needs spot capacity."""
+        return RackBidContext(
+            rack=rack,
+            needed_w=needed_w,
+            value_curve=value_curve,
+            q_low=self.q_low,
+            q_high=self.q_high,
+            predicted_price=predicted_price,
+        )
+
     def _contexts(
         self, slot: int, predicted_price: float | None
     ) -> list[RackBidContext]:
         needed = self.needed_spot_w(slot)
-        contexts = []
-        for rack in self.racks:
-            if rack.rack_id not in needed:
-                continue
-            contexts.append(
-                RackBidContext(
-                    rack=rack,
-                    needed_w=needed[rack.rack_id],
-                    value_curve=self._curve(rack, slot),
-                    q_low=self.q_low,
-                    q_high=self.q_high,
-                    predicted_price=predicted_price,
-                )
+        return [
+            self.rack_context(
+                rack, needed[rack.rack_id], self._curve(rack, slot), predicted_price
             )
-        return contexts
+            for rack in self.racks
+            if rack.rack_id in needed
+        ]
 
     def make_bid(
         self, slot: int, predicted_price: float | None = None
     ) -> TenantBid | None:
+        return self.bundle(self._contexts(slot, predicted_price))
+
+    def bundle(
+        self,
+        contexts: Sequence[RackBidContext],
+        demands: Sequence[DemandFunction | None] | None = None,
+    ) -> TenantBid | None:
+        """The bundle for racks already known to need spot capacity.
+
+        The strategy runs once per context, in the order given (rack
+        order), unless ``demands`` already holds its result for each.
+        :meth:`make_bid` and :meth:`repro.tenants.fleet.RackFleet.bids`
+        both build bundles here, so a bid is the same whichever of them
+        computed the need.
+        """
+        if demands is None:
+            demands = [self.strategy.make_rack_bid(ctx) for ctx in contexts]
         rack_bids = []
-        for ctx in self._contexts(slot, predicted_price):
-            demand = self.strategy.make_rack_bid(ctx)
+        for ctx, demand in zip(contexts, demands):
             if demand is None:
                 continue
             rack_bids.append(
@@ -251,22 +286,48 @@ class SprintingTenant(_ParticipatingTenant):
         assert isinstance(workload, InteractiveWorkload)
         return max(workload.latency_model.mu_max_rps * 0.02, 1e-6)
 
-    def _curve(self, rack: TenantRack, slot: int) -> SpotValueCurve:
+    def _curve_key(self, rack: TenantRack, slot: int) -> tuple[tuple[str, int], float]:
+        """The cache key of a rack's curve at a slot, and its arrival rate."""
         workload = rack.workload
         assert isinstance(workload, InteractiveWorkload)
         quantum = self._quantum_for(rack)
         rate_bin = int(round(workload.intensity(slot) / quantum))
-        key = (rack.rack_id, rate_bin)
-        curve = self._curve_cache.get(key)
-        if curve is None:
-            curve = self._curve_cache[key] = sprinting_value_curve(
-                workload.latency_model,
-                self.cost_models[rack.rack_id],
-                base_power_w=rack.guaranteed_w,
-                arrival_rps=rate_bin * quantum,
-                max_spot_w=rack.useful_spot_w,
-            )
+        return (rack.rack_id, rate_bin), rate_bin * quantum
+
+    def _curve(self, rack: TenantRack, slot: int) -> SpotValueCurve:
+        (curve,) = SprintingTenant.curves_for([(self, rack)], slot)
         return curve
+
+    @staticmethod
+    def curves_for(
+        racks: Sequence[tuple[SprintingTenant, TenantRack]], slot: int
+    ) -> list[SpotValueCurve]:
+        """Every listed rack's value curve for ``slot``, in order.
+
+        ``racks`` pairs each rack with its (sprinting) owner.  Curves not
+        yet cached are tabulated in one
+        :func:`~repro.economics.valuation.sprinting_value_curves` pass,
+        each bit-identical to building it alone, and cached.
+        """
+        keys = [tenant._curve_key(rack, slot) for tenant, rack in racks]
+        missing = [
+            (tenant, rack, key, arrival)
+            for (tenant, rack), (key, arrival) in zip(racks, keys)
+            if key not in tenant._curve_cache
+        ]
+        if missing:
+            curves = sprinting_value_curves(
+                [rack.workload.latency_model for _, rack, _, _ in missing],
+                [tenant.cost_models[rack.rack_id] for tenant, rack, _, _ in missing],
+                base_power_w=[rack.guaranteed_w for _, rack, _, _ in missing],
+                arrival_rps=[arrival for _, _, _, arrival in missing],
+                max_spot_w=[rack.useful_spot_w for _, rack, _, _ in missing],
+            )
+            for (tenant, _, key, _), curve in zip(missing, curves):
+                tenant._curve_cache[key] = curve
+        return [
+            tenant._curve_cache[key] for (tenant, _), (key, _) in zip(racks, keys)
+        ]
 
 
 class OpportunisticTenant(_ParticipatingTenant):
@@ -316,18 +377,34 @@ class OpportunisticTenant(_ParticipatingTenant):
         return needed
 
     def _curve(self, rack: TenantRack, slot: int) -> SpotValueCurve:
-        curve = self._curve_cache.get(rack.rack_id)
-        if curve is None:
-            workload = rack.workload
-            assert isinstance(workload, BatchWorkload)
-            curve = self._curve_cache[rack.rack_id] = opportunistic_value_curve(
-                workload.throughput_model,
-                self.cost_models[rack.rack_id],
-                base_power_w=rack.guaranteed_w,
-                backlog_units=1.0,
-                max_spot_w=rack.useful_spot_w,
-            )
+        (curve,) = OpportunisticTenant.curves_for([(self, rack)], slot)
         return curve
+
+    @staticmethod
+    def curves_for(
+        racks: Sequence[tuple[OpportunisticTenant, TenantRack]], slot: int
+    ) -> list[SpotValueCurve]:
+        """Every listed rack's value curve, in order; missing ones built together.
+
+        The curve does not depend on the slot (see the module docstring);
+        ``slot`` keeps the signature of :meth:`SprintingTenant.curves_for`.
+        """
+        missing = [
+            (tenant, rack)
+            for tenant, rack in racks
+            if rack.rack_id not in tenant._curve_cache
+        ]
+        if missing:
+            curves = opportunistic_value_curves(
+                [rack.workload.throughput_model for _, rack in missing],
+                [tenant.cost_models[rack.rack_id] for tenant, rack in missing],
+                base_power_w=[rack.guaranteed_w for _, rack in missing],
+                backlog_units=1.0,
+                max_spot_w=[rack.useful_spot_w for _, rack in missing],
+            )
+            for (tenant, rack), curve in zip(missing, curves):
+                tenant._curve_cache[rack.rack_id] = curve
+        return [tenant._curve_cache[rack.rack_id] for tenant, rack in racks]
 
 
 class NonParticipatingTenant(Tenant):

@@ -111,6 +111,11 @@ class Workload(abc.ABC):
                 f"[0, {self._prepared_slots})"
             )
 
+    def _prepared(self, trace: np.ndarray | None) -> np.ndarray:
+        if self._prepared_slots == 0 or trace is None:
+            raise WorkloadError(f"{self.name}: prepare() must be called first")
+        return trace
+
     def _check_execution_order(self, slot: int) -> None:
         self._check_slot(slot)
         if slot != self._next_slot:
@@ -167,6 +172,25 @@ class InteractiveWorkload(Workload):
             self.target_ms, self._rates
         )
         self._mark_prepared(slots)
+
+    @property
+    def rates(self) -> np.ndarray:
+        """The prepared request rate per slot."""
+        return self._prepared(self._rates)
+
+    @property
+    def desired_powers(self) -> np.ndarray:
+        """The prepared desired power per slot."""
+        return self._prepared(self._desired)
+
+    def use_traces(self, rates: np.ndarray, desired: np.ndarray) -> None:
+        """Read the prepared traces from equal arrays from now on.
+
+        :class:`repro.tenants.fleet.RackFleet` passes views of its trace
+        matrices, so a run keeps each trace in memory once.
+        """
+        self._rates = rates
+        self._desired = desired
 
     def intensity(self, slot: int) -> float:
         self._check_slot(slot)
@@ -230,14 +254,60 @@ class BatchWorkload(Workload):
         self.arrival_trace = arrival_trace
         self.sprint_backlog_s = sprint_backlog_s
         self._arrivals: np.ndarray | None = None
-        self.backlog_units = 0.0
+        self._unbind_backlog()
 
     def prepare(self, slots: int, rng: np.random.Generator) -> None:
         self._arrivals = np.asarray(
             self.arrival_trace.generate(slots, rng), dtype=float
         )
-        self.backlog_units = 0.0
+        self._unbind_backlog()
         self._mark_prepared(slots)
+
+    # ------------------------------------------------------------------
+    # Backlog storage: a float of its own, or one cell of a fleet column
+    # ------------------------------------------------------------------
+
+    def _unbind_backlog(self) -> None:
+        # The backlog itself, or a bound (column, index) cell.
+        self._backlog: float | tuple[np.ndarray, int] = 0.0
+
+    @property
+    def backlog_units(self) -> float:
+        """Outstanding work, in workload units."""
+        backlog = self._backlog
+        if type(backlog) is tuple:
+            column, index = backlog
+            return float(column[index])
+        return backlog
+
+    @backlog_units.setter
+    def backlog_units(self, value: float) -> None:
+        backlog = self._backlog
+        if type(backlog) is tuple:
+            column, index = backlog
+            column[index] = value
+        else:
+            self._backlog = value
+
+    def bind_backlog(self, column: np.ndarray, index: int) -> None:
+        """Keep the backlog in ``column[index]`` from now on.
+
+        :class:`repro.tenants.fleet.RackFleet` binds every batch rack it
+        runs to one float64 column and updates the column in one array
+        pass; the workload's accessors read the same cell, so the
+        backlog has a single owner.  :meth:`prepare` unbinds.
+        """
+        column[index] = self.backlog_units
+        self._backlog = (column, index)
+
+    @property
+    def arrivals(self) -> np.ndarray:
+        """The prepared work-arrival rate per slot."""
+        return self._prepared(self._arrivals)
+
+    def use_traces(self, arrivals: np.ndarray) -> None:
+        """Read the prepared arrivals from an equal array from now on."""
+        self._arrivals = arrivals
 
     def intensity(self, slot: int) -> float:
         self._check_slot(slot)
@@ -323,6 +393,15 @@ class TracePowerWorkload(Workload):
     def prepare(self, slots: int, rng: np.random.Generator) -> None:
         self._power = np.asarray(self.power_trace.generate(slots, rng), dtype=float)
         self._mark_prepared(slots)
+
+    @property
+    def powers(self) -> np.ndarray:
+        """The prepared power draw per slot."""
+        return self._prepared(self._power)
+
+    def use_traces(self, powers: np.ndarray) -> None:
+        """Read the prepared power trace from an equal array from now on."""
+        self._power = powers
 
     def intensity(self, slot: int) -> float:
         self._check_slot(slot)

@@ -290,15 +290,75 @@ class ScalarCollector:
             s["pdu_power", p].append(pdu_power_w.get(p, 0.0))
             s["pdu_price", p].append((pdu_prices or {}).get(p, price))
         for r in self.rack_ids:
-            outcome = rack_outcomes[r]
-            s["rack_power", r].append(outcome.power_w)
-            s["rack_perf", r].append(outcome.value)
+            power_w, value, slo_violated = rack_outcomes[r]
+            s["rack_power", r].append(power_w)
+            s["rack_perf", r].append(value)
             s["rack_wanted", r].append(r in wanted_rack_ids)
             s["rack_granted", r].append(grants_w.get(r, 0.0))
-            s["rack_slo_violation", r].append(outcome.slo_violated)
+            s["rack_slo_violation", r].append(slo_violated)
         for t in self.tenant_ids:
             s["tenant_payment", t].append(payments.get(t, 0.0))
 
     def array(self, name, key):
         dtype = bool if name in ("rack_wanted", "rack_slo_violation") else None
         return np.asarray(self.series[name, key], dtype=dtype)
+
+
+# ----------------------------------------------------------------------
+# Tenant side: the per-rack need and slot run the columnar fleet
+# (:mod:`repro.tenants.fleet`) replaced, one rack and one Python float
+# at a time.  The batch backlog is passed in and returned, not stored.
+# ----------------------------------------------------------------------
+
+
+def interactive_run(workload, slot, budget_w):
+    """``InteractiveWorkload.execute``: ``(power, latency, slo_violated)``."""
+    rate = float(workload.rates[slot])
+    desired = float(workload.desired_powers[slot])
+    power = min(desired, budget_w)
+    latency = workload.latency_model.latency_ms(power, rate)
+    return power, latency, latency > workload.slo_ms
+
+
+def batch_desired(workload, slot, backlog):
+    """``BatchWorkload.desired_power_w`` at a given backlog."""
+    model = workload.throughput_model
+    if backlog > workload.sprint_backlog_s * model.rate_max:
+        return model.power_model.peak_w
+    rate_needed = float(workload.arrivals[slot])
+    if backlog > 0:
+        rate_needed = min(model.rate_max, rate_needed + backlog / 60.0)
+    return model.power_for_rate(rate_needed)
+
+
+def batch_run(workload, slot, budget_w, slot_seconds, backlog):
+    """``BatchWorkload.execute``: ``(power, achieved_rate, new_backlog)``."""
+    model = workload.throughput_model
+    desired = batch_desired(workload, slot, backlog)
+    power = min(desired, budget_w)
+    rate = model.rate_at(power)
+    available = backlog + float(workload.arrivals[slot]) * slot_seconds
+    processed = min(available, rate * slot_seconds)
+    achieved = processed / slot_seconds
+    idle = model.power_model.idle_w
+    drawn = model.power_for_rate(achieved) if processed > 0 else idle
+    drawn = max(idle, min(drawn, max(budget_w, idle)))
+    return drawn, achieved, available - processed
+
+
+def trace_run(workload, slot, budget_w):
+    """``TracePowerWorkload.execute``: the capped replayed draw."""
+    power = min(float(workload.powers[slot]), budget_w)
+    return power, power, False
+
+
+def rack_need(tenant, rack, slot, backlog):
+    """Watts one rack wants (``None`` for none): ``needed_spot_w``, per rack."""
+    if not tenant.participates or rack.useful_spot_w <= 0:
+        return None
+    workload = rack.workload
+    if tenant.kind == "sprinting":
+        extra = float(workload.desired_powers[slot]) - rack.guaranteed_w
+        return min(extra, rack.max_spot_w) if extra > 0 else None
+    threshold = workload.sprint_backlog_s * workload.throughput_model.rate_max
+    return rack.useful_spot_w if backlog > threshold else None

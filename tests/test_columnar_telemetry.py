@@ -28,7 +28,6 @@ from repro.infrastructure.topology import PowerTopology
 from repro.infrastructure.ups import Ups
 from repro.power.elementwise import ordered_sum, segment_sums
 from repro.sim.metrics import MetricsCollector
-from repro.workloads.base import SlotPerformance
 
 from tests import oracle
 
@@ -127,7 +126,9 @@ class TestOrderedSums:
             0.0,
             0.0,
             {"p": 0.0},
-            {rack_id: outcome(0.0, 0.0, False) for rack_id in ids},
+            np.zeros(3),
+            np.zeros(3),
+            np.zeros(3, dtype=bool),
             {},
         )
         assert collector.spot_granted_array().tolist() == [1.0]
@@ -271,10 +272,6 @@ class TestEmergencyParity:
         assert edge.rack_id not in {g[2] for g in got if g[1] == "rack"}
 
 
-def outcome(power, value, slo):
-    return SlotPerformance(0, power, power, False, "latency_ms", value, slo, False)
-
-
 class TestCollectorParity:
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -295,14 +292,19 @@ class TestCollectorParity:
             pdu_prices = {p: data.draw(watts) for p in some(pdu_ids)} or None
             wanted = frozenset(some(rack_ids))
             outcomes = {
-                r: outcome(data.draw(watts), data.draw(watts), data.draw(st.booleans()))
-                for r in data.draw(st.permutations(rack_ids))
+                r: (data.draw(watts), data.draw(watts), data.draw(st.booleans()))
+                for r in rack_ids
             }
             collector.record_slot(
                 price=price, grants_w=grants, spot_revenue=0.0, forecast_ups_w=0.0,
                 forecast_pdu_total_w=0.0, ups_power_w=data.draw(watts),
-                pdu_power_w=pdu_power, rack_outcomes=outcomes, payments=payments,
-                wanted_rack_ids=wanted, pdu_prices=pdu_prices,
+                pdu_power_w=pdu_power,
+                rack_power_w=np.array([outcomes[r][0] for r in rack_ids]),
+                rack_value=np.array([outcomes[r][1] for r in rack_ids]),
+                rack_slo_violated=np.array([outcomes[r][2] for r in rack_ids]),
+                payments=payments,
+                rack_wanted=np.array([r in wanted for r in rack_ids]),
+                pdu_prices=pdu_prices,
             )
             scalar.record(
                 price, grants, collector._ups_power[-1], pdu_power, outcomes,

@@ -5,20 +5,6 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.sim.metrics import MetricsCollector
-from repro.workloads.base import SlotPerformance
-
-
-def perf(slot=0, power=50.0, value=80.0, metric="latency_ms"):
-    return SlotPerformance(
-        slot=slot,
-        power_w=power,
-        desired_power_w=power,
-        capped=False,
-        metric=metric,
-        value=value,
-        slo_violated=False,
-        wanted_spot=False,
-    )
 
 
 @pytest.fixture
@@ -39,9 +25,11 @@ def record(collector, slot=0, price=0.1, grants=None, wanted=frozenset(),
         forecast_pdu_total_w=120.0,
         ups_power_w=90.0,
         pdu_power_w={"p1": 90.0},
-        rack_outcomes={"r1": perf(slot), "r2": perf(slot, value=30.0)},
+        rack_power_w=np.array([50.0, 50.0]),
+        rack_value=np.array([80.0, 30.0]),
+        rack_slo_violated=np.array([False, False]),
         payments=payments or {},
-        wanted_rack_ids=wanted,
+        rack_wanted=np.array([r in wanted for r in collector.rack_ids]),
         pdu_prices=pdu_prices,
     )
 
@@ -58,7 +46,8 @@ class TestRecording:
                 price=0.1, grants_w={}, spot_revenue=0.0,
                 forecast_ups_w=0.0, forecast_pdu_total_w=0.0,
                 ups_power_w=0.0, pdu_power_w={},
-                rack_outcomes={"r1": perf()}, payments={},
+                rack_power_w=np.array([50.0]), rack_value=np.array([80.0]),
+                rack_slo_violated=np.array([False]), payments={},
             )
 
     def test_empty_constructor_rejected(self):
